@@ -18,13 +18,13 @@ object GreedyDM {
 
   /** Evaluate `F(S ∪ {w})` for every scenario `w` in `cands`. */
   private def scenarioScores(inst: Instance, score: VoteScore, seeds: Seq[Long],
-                             cands: Seq[Long], compOps: org.apache.spark.sql.DataFrame): Map[Long, Double] = {
+                             cands: Seq[Long]): Map[Long, Double] = {
     val spark = inst.edges.sparkSession
     import spark.implicits._
     val scenDf = cands.toDF("scen")
     val targetOps = OpinionDiffusion.diffuseScenarios(
       inst.edges, inst.targetProfile(seeds), scenDf, inst.t)
-    score.byScenario(targetOps, compOps)
+    score.byScenario(targetOps, inst.competitorOpinions())
       .collect()
       .map(row => row.getLong(0) -> row.getDouble(1))
       .toMap
@@ -41,18 +41,16 @@ object GreedyDM {
   def select(inst: Instance, score: VoteScore, k: Int,
              celf: Boolean = false, celfBatch: Int = 64): Result = {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
-    val compOps = inst.competitorOpinions().localCheckpoint(true)
-    if (celf) selectCelf(inst, score, k, celfBatch, compOps)
-    else selectPlain(inst, score, k, compOps)
+    if (celf) selectCelf(inst, score, k, celfBatch)
+    else selectPlain(inst, score, k)
   }
 
-  private def selectPlain(inst: Instance, score: VoteScore, k: Int,
-                          compOps: org.apache.spark.sql.DataFrame): Result = {
+  private def selectPlain(inst: Instance, score: VoteScore, k: Int): Result = {
     var seeds = Vector.empty[Long]
     var scores = Vector.empty[Double]
     for (_ <- 1 to k) {
       val cands = (0L until inst.n).filterNot(seeds.contains)
-      val sc = scenarioScores(inst, score, seeds, cands, compOps)
+      val sc = scenarioScores(inst, score, seeds, cands)
       // Ties break to the smallest node id for determinism.
       val (best, bestScore) = sc.toSeq.sortBy { case (w, s) => (-s, w) }.head
       seeds :+= best
@@ -66,10 +64,9 @@ object GreedyDM {
     */
   private final case class Entry(gain: Double, node: Long, round: Int)
 
-  private def selectCelf(inst: Instance, score: VoteScore, k: Int, batch: Int,
-                         compOps: org.apache.spark.sql.DataFrame): Result = {
+  private def selectCelf(inst: Instance, score: VoteScore, k: Int, batch: Int): Result = {
     val base0 = inst.targetScore(score, Nil)
-    val init = scenarioScores(inst, score, Nil, 0L until inst.n, compOps)
+    val init = scenarioScores(inst, score, Nil, 0L until inst.n)
     // Max-heap on (possibly stale) marginal-gain bounds; ties to smaller id.
     val heap = mutable.PriorityQueue.empty[Entry](
       Ordering.by(e => (e.gain, -e.node)))
@@ -97,7 +94,7 @@ object GreedyDM {
           while (stale.size < batch && heap.nonEmpty && heap.head.round != round)
             stale += heap.dequeue()
           val ws = stale.map(_.node).toSeq
-          val sc = scenarioScores(inst, score, seeds, ws, compOps)
+          val sc = scenarioScores(inst, score, seeds, ws)
           ws.foreach(x => heap.enqueue(Entry(sc(x) - cur, x, round)))
         }
       }

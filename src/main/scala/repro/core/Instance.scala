@@ -12,13 +12,22 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
   require(r > 1, s"the paper assumes r > 1 candidates, got $r")
   require(q >= 0 && q < r, s"target candidate $q out of range [0,$r)")
 
+  /** The seedless horizon: exact opinions `(node, cand, b)` of every
+    * candidate at `t` with no seeds, diffused once, on first use, and held
+    * as the frame [[OpinionDiffusion.diffuse]] returns (checkpointed for
+    * `t >= 1`). A copy of the instance diffuses its own.
+    */
+  private lazy val horizon: DataFrame = OpinionDiffusion.diffuse(edges, profile, t)
+
   /** Exact horizon-`t` opinions of every candidate with `seeds` for `q`. */
   def opinions(seeds: Seq[Long] = Nil): DataFrame =
-    OpinionDiffusion.diffuseWithSeeds(edges, profile, q, seeds, t)
+    if (seeds.isEmpty) horizon
+    else OpinionDiffusion.diffuse(edges, OpinionDiffusion.applySeeds(profile, q, seeds), t)
 
-  /** Exact competitor opinions at the horizon (independent of `q`'s seeds). */
-  def competitorOpinions(): DataFrame =
-    OpinionDiffusion.diffuse(edges, profile.filter(col("cand") =!= q), t)
+  /** Exact competitor opinions at the horizon; `q`'s seeds do not change
+    * them, since diffusion is independent per candidate (§II-A).
+    */
+  def competitorOpinions(): DataFrame = horizon.filter(col("cand") =!= q)
 
   /** Target candidate's profile `(node, b0, d)` with `seeds` applied. */
   def targetProfile(seeds: Seq[Long]): DataFrame =
@@ -26,19 +35,15 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
       .filter(col("cand") === q)
       .select("node", "b0", "d")
 
-  /** Exact score of candidate `cand` at the horizon given `seeds` for `q`. */
-  def scoreOf(score: VoteScore, seeds: Seq[Long], cand: Int): Double =
-    score.exact(opinions(seeds), cand)
-
   /** Exact target score at the horizon given `seeds`. */
   def targetScore(score: VoteScore, seeds: Seq[Long]): Double =
-    scoreOf(score, seeds, q)
+    score.exact(opinions(seeds), q)
 
   /** Problem 2 winning test: target's score strictly exceeds every
     * competitor's score at the horizon (Eq 9).
     */
   def wins(score: VoteScore, seeds: Seq[Long]): Boolean = {
-    val ops = opinions(seeds).localCheckpoint(true)
+    val ops = opinions(seeds)
     val tgt = score.exact(ops, q)
     (0 until r).filter(_ != q).forall(c => tgt > score.exact(ops, c))
   }

@@ -12,15 +12,13 @@ import org.apache.spark.sql.functions._
   *
   * Seeding a node `s` for candidate `q` sets `b0 = 1` and `d = 1` for
   * `(s, q)` (§II-C), freezing its opinion about `q` at 1.
+  *
+  * Both loops checkpoint every step: reusing `edges` across steps without
+  * a checkpoint trips Spark's ambiguous-self-join detection (the growing
+  * plan contains the edge Dataset several times), and eager checkpointing
+  * also keeps plans O(1) per step.
   */
 object OpinionDiffusion {
-
-  /** Iterative loops cut lineage every step: reusing `edges` across steps
-    * without a checkpoint trips Spark's ambiguous-self-join detection (the
-    * growing plan contains the edge Dataset several times), and eager
-    * checkpointing also keeps plans O(1) per step.
-    */
-  private val CheckpointEvery = 1
 
   /** Profile `(node, cand, b0, d)` with seed set `seeds` applied for
     * candidate `q`: seeded rows get `b0 = 1, d = 1`.
@@ -43,14 +41,14 @@ object OpinionDiffusion {
   def diffuse(edges: DataFrame, profile: DataFrame, t: Int): DataFrame = {
     require(t >= 0, s"time horizon must be non-negative, got $t")
     var b = profile.select(col("node"), col("cand"), col("b0").as("b"))
-    for (step <- 1 to t) {
+    for (_ <- 1 to t) {
       val wsum = b.join(edges, b("node") === edges("src"))
         .groupBy(edges("dst").as("node"), col("cand"))
         .agg(sum(col("b") * col("w")).as("wsum"))
       b = profile.join(wsum, Seq("node", "cand"))
         .select(col("node"), col("cand"),
           ((lit(1.0) - col("d")) * col("wsum") + col("d") * col("b0")).as("b"))
-      if (step % CheckpointEvery == 0 || step == t) b = b.localCheckpoint(true)
+        .localCheckpoint(true)
     }
     b
   }
@@ -74,23 +72,15 @@ object OpinionDiffusion {
         when(col("node") === col("scen"), lit(1.0)).otherwise(col("d")).as("d"))
       .localCheckpoint(true)
     var b = prof.select(col("scen"), col("node"), col("b0").as("b"))
-    for (step <- 1 to t) {
+    for (_ <- 1 to t) {
       val wsum = b.join(edges, b("node") === edges("src"))
         .groupBy(col("scen"), edges("dst").as("node"))
         .agg(sum(col("b") * col("w")).as("wsum"))
       b = prof.join(wsum, Seq("scen", "node"))
         .select(col("scen"), col("node"),
           ((lit(1.0) - col("d")) * col("wsum") + col("d") * col("b0")).as("b"))
-      if (step % CheckpointEvery == 0 || step == t) b = b.localCheckpoint(true)
+        .localCheckpoint(true)
     }
     b
   }
-
-  /** Opinions at horizon `t` for candidate `q` with `seeds`, all candidates
-    * returned (competitors are unaffected by `q`'s seeds — diffusion is
-    * independent per candidate, §II-A).
-    */
-  def diffuseWithSeeds(edges: DataFrame, profile: DataFrame, q: Int,
-                       seeds: Seq[Long], t: Int): DataFrame =
-    diffuse(edges, applySeeds(profile, q, seeds), t)
 }

@@ -29,30 +29,18 @@ object Sandwich {
   /** Favorable users set `Vq` (Def 1): users ranking the target within the
     * top `p` at the horizon with no seeds. Single-column `(node)`.
     */
-  def favorableUsers(inst: Instance, p: Int): DataFrame = {
-    val ops = inst.opinions(Nil)
-    val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
-    val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
-    tgt.join(comp, Seq("node"))
-      .groupBy("node")
-      .agg((sum(when(col("bx") >= col("bq"), 1).otherwise(0)) + 1).as("beta"))
+  def favorableUsers(inst: Instance, p: Int): DataFrame =
+    VoteScore.versus(inst.opinions(Nil).filter(col("cand") === inst.q).select("node", "b"),
+      inst.competitorOpinions())
+      .groupBy("node").agg(VoteScore.rank)
       .filter(col("beta") <= p)
       .select("node")
-  }
 
   /** Weakly favorable users set `Uq` (Def 5): users preferring the target to
-    * at least one other candidate at the horizon with no seeds.
+    * at least one other candidate at the horizon with no seeds — those not
+    * ranking it last, i.e. `Vq` with `p = r - 1`.
     */
-  def weaklyFavorableUsers(inst: Instance): DataFrame = {
-    val ops = inst.opinions(Nil)
-    val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
-    val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
-    tgt.join(comp, Seq("node"))
-      .groupBy("node")
-      .agg(min("bx").as("minx"), first("bq").as("bq"))
-      .filter(col("bq") > col("minx"))
-      .select("node")
-  }
+  def weaklyFavorableUsers(inst: Instance): DataFrame = favorableUsers(inst, inst.r - 1)
 
   /** Greedy maximization of `factor * |N_S ∪ fixed|` — submodular coverage,
     * so greedy is (1-1/e)-approximate. Returns the seeds and the exact UB

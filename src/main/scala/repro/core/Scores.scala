@@ -5,23 +5,38 @@ import org.apache.spark.sql.functions._
 
 /** The five voting-based scores of §II-B.
   *
-  * Every score is computed from the horizon-`t` opinion DataFrame
-  * `(node, cand, b)`. `exact` evaluates the score of a candidate;
-  * `byScenario` evaluates it per greedy scenario given scenario-vectorized
-  * target opinions `(scen, node, b)` and exact competitor opinions
-  * `(node, cand, b)` (restricted to `cand != target` by the caller).
+  * Every score is computed from horizon-`t` opinions. `byScenario`
+  * evaluates it per greedy scenario given scenario-vectorized target
+  * opinions `(scen, node, b)` and exact competitor opinions
+  * `(node, cand, b)` (restricted to `cand != target` by the caller);
+  * `exact` is its one-scenario case.
   */
 sealed trait VoteScore extends Serializable {
   def name: String
-  def exact(ops: DataFrame, cand: Int): Double
   def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame
+
+  /** Score of candidate `cand` in the opinions `(node, cand, b)`: the
+    * candidate's own opinions are passed to [[byScenario]] as one scenario.
+    */
+  def exact(ops: DataFrame, cand: Int): Double =
+    byScenario(ops.filter(col("cand") === cand).select(lit(0L).as("scen"), col("node"), col("b")),
+      ops.filter(col("cand") =!= cand))
+      .collect().headOption.fold(0.0)(_.getDouble(1))
 }
 
 object VoteScore {
-  /** Rank `beta` of the target for a user: 1 + number of competitors whose
-    * opinion is >= the target's (§II-B) — `beta = 1` means strictly top.
+  /** Pairs each user's target opinion with their opinion of every
+    * competitor: `target` `(…, node, b)` joined on `node` to `comp`
+    * `(node, cand, b)` gives one row `(…, node, b, x, bx)` per competitor `x`.
     */
-  private[core] def betaCol(bq: Column, bx: Column): Column = bx >= bq
+  private[repro] def versus(target: DataFrame, comp: DataFrame): DataFrame =
+    target.join(comp.select(col("node"), col("cand").as("x"), col("b").as("bx")), Seq("node"))
+
+  /** Rank `beta` of the target over one user's [[versus]] rows: 1 + number
+    * of competitors whose opinion is >= the target's (§II-B) — `beta = 1`
+    * means strictly top.
+    */
+  private[repro] def rank: Column = (sum(when(col("bx") >= col("b"), 1).otherwise(0)) + 1).as("beta")
 
   /** Per-user contribution of a positional-p-approval score given the
     * user's rank column `beta` (1-based): `w[beta] * 1[beta <= p]`.
@@ -39,9 +54,6 @@ object VoteScore {
 case object Cumulative extends VoteScore {
   val name = "cumulative"
 
-  def exact(ops: DataFrame, cand: Int): Double =
-    ops.filter(col("cand") === cand).agg(sum("b")).head.getDouble(0)
-
   def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame =
     targetOps.groupBy("scen").agg(sum("b").as("score"))
 }
@@ -58,23 +70,11 @@ final case class PositionalPApproval(p: Int, weights: Seq[Double]) extends VoteS
 
   val name = s"positional-$p-approval"
 
-  def exact(ops: DataFrame, cand: Int): Double = {
-    val tgt = ops.filter(col("cand") === cand).select(col("node"), col("b").as("bq"))
-    val comp = ops.filter(col("cand") =!= cand).select(col("node"), col("b").as("bx"))
-    val beta = tgt.join(comp, Seq("node"))
-      .groupBy("node")
-      .agg((sum(when(VoteScore.betaCol(col("bq"), col("bx")), 1).otherwise(0)) + 1).as("beta"))
-    beta.agg(sum(VoteScore.positionalContrib(col("beta"), p, weights))).head.getDouble(0)
-  }
-
-  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame = {
-    val comp = compOps.select(col("node"), col("b").as("bx"))
-    targetOps.join(comp, Seq("node"))
-      .groupBy("scen", "node")
-      .agg((sum(when(VoteScore.betaCol(col("b"), col("bx")), 1).otherwise(0)) + 1).as("beta"))
+  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame =
+    VoteScore.versus(targetOps, compOps)
+      .groupBy("scen", "node").agg(VoteScore.rank)
       .groupBy("scen")
       .agg(sum(VoteScore.positionalContrib(col("beta"), p, weights)).as("score"))
-  }
 }
 
 object Plurality {
@@ -95,13 +95,6 @@ object PApproval {
 final case class RestrictedCumulative(nodes: DataFrame, factor: Double) extends VoteScore {
   val name = "restricted-cumulative"
 
-  def exact(ops: DataFrame, cand: Int): Double = {
-    val row = ops.filter(col("cand") === cand)
-      .join(nodes, Seq("node"))
-      .agg(sum("b")).head
-    (if (row.isNullAt(0)) 0.0 else row.getDouble(0)) * factor
-  }
-
   def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame =
     targetOps.join(nodes, Seq("node"))
       .groupBy("scen").agg((sum("b") * factor).as("score"))
@@ -113,25 +106,11 @@ final case class RestrictedCumulative(nodes: DataFrame, factor: Double) extends 
 case object Copeland extends VoteScore {
   val name = "copeland"
 
-  def exact(ops: DataFrame, cand: Int): Double = {
-    val tgt = ops.filter(col("cand") === cand).select(col("node"), col("b").as("bq"))
-    val comp = ops.filter(col("cand") =!= cand)
-      .select(col("node"), col("cand").as("x"), col("b").as("bx"))
-    tgt.join(comp, Seq("node"))
-      .groupBy("x")
-      .agg(sum(when(col("bq") > col("bx"), 1).otherwise(0)).as("wins"),
-           sum(when(col("bq") < col("bx"), 1).otherwise(0)).as("losses"))
-      .filter(col("wins") > col("losses"))
-      .count().toDouble
-  }
-
-  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame = {
-    val comp = compOps.select(col("node"), col("cand").as("x"), col("b").as("bx"))
-    targetOps.join(comp, Seq("node"))
+  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame =
+    VoteScore.versus(targetOps, compOps)
       .groupBy("scen", "x")
       .agg(sum(when(col("b") > col("bx"), 1).otherwise(0)).as("wins"),
            sum(when(col("b") < col("bx"), 1).otherwise(0)).as("losses"))
       .groupBy("scen")
       .agg(sum(when(col("wins") > col("losses"), 1.0).otherwise(0.0)).as("score"))
-  }
 }

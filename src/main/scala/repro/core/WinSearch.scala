@@ -9,8 +9,7 @@ package repro.core
   * ranking-based scores) lower each competitor's. The winning predicate is
   * therefore monotone along the greedy sequence, so Algorithm 2's binary
   * search over budgets reduces to a binary search over prefixes of one
-  * greedy run; [[minSeedsToWin]] implements that. [[binarySearch]] is the
-  * literal Algorithm 2 for an arbitrary (possibly non-nested) selector.
+  * greedy run; [[minSeedsToWin]] implements that.
   */
 object WinSearch {
 
@@ -27,26 +26,5 @@ object WinSearch {
       if (inst.wins(score, seedSeq.take(mid))) hi = mid else lo = mid
     }
     Some((hi, seedSeq.take(hi)))
-  }
-
-  /** Literal Algorithm 2: binary search on the budget, re-running the
-    * selector at each probe. `selectK(k)` must return a size-k seed set.
-    */
-  def binarySearch(inst: Instance, score: VoteScore, kMax: Int,
-                   selectK: Int => Seq[Long]): Option[(Int, Seq[Long])] = {
-    if (inst.wins(score, Nil)) return Some((0, Nil))
-    var lo = 0
-    var hi = kMax
-    var best: Option[Seq[Long]] = {
-      val s = selectK(kMax)
-      if (inst.wins(score, s)) Some(s) else None
-    }
-    if (best.isEmpty) return None
-    while (hi - lo > 1) {
-      val mid = (lo + hi) / 2
-      val s = selectK(mid)
-      if (inst.wins(score, s)) { hi = mid; best = Some(s) } else lo = mid
-    }
-    best.map(s => (hi, s))
   }
 }

@@ -3,7 +3,7 @@ package repro.expts
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.SynthSocial
-import repro.core.{GraphOps, Instance, Plurality}
+import repro.core.{GraphOps, Instance, Plurality, VoteScore}
 import repro.walks.Methods
 
 /** Table IV/V reproduction (scaled): the ACM-election case study on a
@@ -27,13 +27,13 @@ object Table4Exp {
                        beforeTotal: Long, afterTotal: Long,
                        rows: Seq[DomainRow], topSeeds: Seq[Long])
 
-  /** Users voting for the target (strict plurality winner per user, r=2). */
-  private def voters(inst: Instance, seeds: Seq[Long]): DataFrame = {
-    val ops = inst.opinions(seeds)
-    val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
-    val cmp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
-    tgt.join(cmp, Seq("node")).filter(col("bq") > col("bx")).select("node")
-  }
+  /** Users voting for the target: those ranking it strictly top (p = 1). */
+  private def voters(inst: Instance, seeds: Seq[Long]): DataFrame =
+    VoteScore.versus(inst.opinions(seeds).filter(col("cand") === inst.q).select("node", "b"),
+      inst.competitorOpinions())
+      .groupBy("node").agg(VoteScore.rank)
+      .filter(col("beta") === 1)
+      .select("node")
 
   def run(spark: SparkSession, n: Long = 1200, m: Long = 9600,
           k: Int = 25, t: Int = 10, lambda: Int = 20, seed: Long = 601): Out = {

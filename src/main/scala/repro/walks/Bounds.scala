@@ -2,7 +2,7 @@ package repro.walks
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{Cumulative, Instance}
+import repro.core.{Cumulative, Instance, VoteScore}
 
 /** Walk-count bounds of §V-C and §VI.
   *
@@ -43,13 +43,11 @@ object Bounds {
     */
   def lambdaPerNode(inst: Instance, rho: Double,
                     gammaFloor: Double = 0.05, lambdaCap: Int = 2000): DataFrame = {
-    val ops = inst.opinions(Nil)
-    val tgt = ops.filter(col("cand") === inst.q).select(col("node"), col("b").as("bq"))
-    val comp = ops.filter(col("cand") =!= inst.q).select(col("node"), col("b").as("bx"))
     val c = math.log(2.0 / (1.0 - rho)) / 2.0
-    tgt.join(comp, Seq("node"))
+    VoteScore.versus(inst.opinions(Nil).filter(col("cand") === inst.q).select("node", "b"),
+      inst.competitorOpinions())
       .groupBy("node")
-      .agg(greatest(min(abs(col("bx") - col("bq"))), lit(gammaFloor)).as("gamma"))
+      .agg(greatest(min(abs(col("bx") - col("b"))), lit(gammaFloor)).as("gamma"))
       .select(col("node"),
         least(lit(lambdaCap), ceil(lit(c) / (col("gamma") * col("gamma")))).as("lam"))
   }

@@ -29,26 +29,24 @@ object WalkGreedy {
   /** Mark walks covered by `seeds` (path intersects the seed set). */
   def applyCover(state: DataFrame, seeds: Seq[Long]): DataFrame =
     if (seeds.isEmpty) state
-    else {
-      val spark = state.sparkSession
-      import spark.implicits._
-      val sArr = array(seeds.map(lit): _*)
-      state.withColumn("covered", col("covered") || arrays_overlap(col("path"), sArr))
-    }
+    else state.withColumn("covered",
+      col("covered") || arrays_overlap(col("path"), array(seeds.map(lit): _*)))
 
-  /** Per-observation estimates `(obs, start, est, lam)` under the current
-    * cover state: avg over the observation's walks of (1 if covered else
-    * b0(end)).
+  /** Per-observation estimates `(obs, node, b, lam)` under the current
+    * cover state, where `node` is the observation's start node and `b` the
+    * average over its `lam` walks of (1 if covered else b0(end)) — the
+    * target opinion of that user, in the shape [[VoteScore.versus]] pairs
+    * with the competitors' opinions.
     */
   private def estimates(state: DataFrame): DataFrame =
-    state.groupBy("obs", "start").agg(
-      (sum(when(col("covered"), 1.0).otherwise(col("b0end"))) / count(lit(1))).as("est"),
+    state.groupBy(col("obs"), col("start").as("node")).agg(
+      (sum(when(col("covered"), 1.0).otherwise(col("b0end"))) / count(lit(1))).as("b"),
       count(lit(1)).cast("double").as("lam"),
     )
 
-  /** `(w, obs, start, est, newEst)`: the estimate each observation would
-    * move to if `w` were added as a seed (only observations with at least
-    * one uncovered walk through `w` appear).
+  /** `(w, obs, node, est, b)`: the estimate `b` each observation would move
+    * to from `est` if `w` were added as a seed (only observations with at
+    * least one uncovered walk through `w` appear).
     */
   private def deltas(state: DataFrame, est: DataFrame): DataFrame =
     state.filter(!col("covered"))
@@ -56,8 +54,24 @@ object WalkGreedy {
         (lit(1.0) - col("b0end")).as("inc"))
       .groupBy("w", "obs").agg(sum("inc").as("dsum"))
       .join(est, Seq("obs"))
-      .select(col("w"), col("obs"), col("start"), col("est"),
-        (col("est") + col("dsum") / col("lam")).as("newEst"))
+      .select(col("w"), col("obs"), col("node"), col("b").as("est"),
+        (col("b") + col("dsum") / col("lam")).as("b"))
+
+  /** Per-observation positional contribution `(keys…, c)` of the estimates
+    * `b` in `ops` `(keys…, node, b)`.
+    */
+  private def contributions(ops: DataFrame, s: PositionalPApproval, compOps: DataFrame,
+                            keys: String*): DataFrame =
+    VoteScore.versus(ops, compOps)
+      .groupBy(keys.map(col): _*).agg(VoteScore.rank)
+      .select(keys.map(col) :+ VoteScore.positionalContrib(col("beta"), s.p, s.weights).as("c"): _*)
+
+  /** Per-competitor one-on-one tallies `(x, wins, losses)` of the estimates. */
+  private def tallies(est: DataFrame, compOps: DataFrame): DataFrame =
+    VoteScore.versus(est, compOps)
+      .groupBy("x")
+      .agg(sum(when(col("b") > col("bx"), 1).otherwise(0)).as("wins"),
+           sum(when(col("b") < col("bx"), 1).otherwise(0)).as("losses"))
 
   /** Estimated target score of the current cover state. */
   def scoreEstimate(state: DataFrame, score: VoteScore, compOps: DataFrame,
@@ -65,21 +79,11 @@ object WalkGreedy {
     val est = estimates(state)
     score match {
       case Cumulative =>
-        est.agg(sum("est")).head.getDouble(0) * scale
+        est.agg(sum("b")).head.getDouble(0) * scale
       case s: PositionalPApproval =>
-        val comp = compOps.select(col("node"), col("b").as("bx"))
-        est.join(comp, est("start") === comp("node"))
-          .groupBy("obs")
-          .agg((sum(when(col("bx") >= col("est"), 1).otherwise(0)) + 1).as("beta"))
-          .agg(sum(VoteScore.positionalContrib(col("beta"), s.p, s.weights)))
-          .head.getDouble(0) * scale
+        contributions(est, s, compOps, "obs").agg(sum("c")).head.getDouble(0) * scale
       case Copeland =>
-        val comp = compOps.select(col("node"), col("cand").as("x"), col("b").as("bx"))
-        est.join(comp, est("start") === comp("node"))
-          .groupBy("x")
-          .agg(sum(when(col("est") > col("bx"), 1).otherwise(0)).as("wins"),
-               sum(when(col("est") < col("bx"), 1).otherwise(0)).as("losses"))
-          .filter(col("wins") > col("losses")).count().toDouble
+        tallies(est, compOps).filter(col("wins") > col("losses")).count().toDouble
       case other =>
         throw new IllegalArgumentException(s"walk estimation not defined for ${other.name}")
     }
@@ -87,17 +91,23 @@ object WalkGreedy {
 
   /** Greedy selection of `k` seeds by maximum *estimated* marginal gain
     * (Alg 4 line 6 / Alg 5 line 6), truncating walks after each pick.
+    *
+    * Every gain below is the exact change of [[scoreEstimate]] that adding
+    * `w` causes, so the estimate is computed once and then advanced by the
+    * picked gain. The gains stay per score: Copeland is not additive over
+    * observations, so it re-tallies each affected competition.
     */
   def select(inst: Instance, score: VoteScore, k: Int,
              annotatedWalks: DataFrame, scale: Double): Result = {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
     val compOps = score match {
       case Cumulative => null // cumulative never consults competitors
-      case _          => inst.competitorOpinions().localCheckpoint(true)
+      case _          => inst.competitorOpinions()
     }
     var state = annotatedWalks
     var seeds = Vector.empty[Long]
     var ests = Vector.empty[Double]
+    var cur = scoreEstimate(state, score, compOps, scale)
 
     for (_ <- 1 to k) {
       val est = estimates(state).localCheckpoint(true)
@@ -111,55 +121,39 @@ object WalkGreedy {
             .collect().map(r => (r.getLong(0), r.getDouble(1)))
 
         case s: PositionalPApproval =>
-          val comp = compOps.select(col("node"), col("b").as("bx"))
-          val baseC = est.join(comp, est("start") === comp("node"))
-            .groupBy("obs")
-            .agg((sum(when(col("bx") >= col("est"), 1).otherwise(0)) + 1).as("beta"))
-            .select(col("obs"),
-              VoteScore.positionalContrib(col("beta"), s.p, s.weights).as("c0"))
-            .localCheckpoint(true)
-          deltas(state, est)
-            .join(comp, col("start") === comp("node"))
-            .groupBy("w", "obs")
-            .agg((sum(when(col("bx") >= col("newEst"), 1).otherwise(0)) + 1).as("beta"))
-            .select(col("w"), col("obs"),
-              VoteScore.positionalContrib(col("beta"), s.p, s.weights).as("c1"))
-            .join(baseC, Seq("obs"))
-            .groupBy("w").agg((sum(col("c1") - col("c0")) * scale).as("gain"))
+          val base = contributions(est, s, compOps, "obs")
+            .select(col("obs"), col("c").as("c0")).localCheckpoint(true)
+          contributions(deltas(state, est), s, compOps, "w", "obs")
+            .join(base, Seq("obs"))
+            .groupBy("w").agg((sum(col("c") - col("c0")) * scale).as("gain"))
             .collect().map(r => (r.getLong(0), r.getDouble(1)))
 
         case Copeland =>
-          val comp = compOps.select(col("node"), col("cand").as("x"), col("b").as("bx"))
-          val baseWL = est.join(comp, est("start") === comp("node"))
-            .groupBy("x")
-            .agg(sum(when(col("est") > col("bx"), 1).otherwise(0)).as("wins0"),
-                 sum(when(col("est") < col("bx"), 1).otherwise(0)).as("losses0"))
-            .localCheckpoint(true)
-          val score0 = baseWL.filter(col("wins0") > col("losses0")).count().toDouble
-          deltas(state, est)
-            .join(comp, col("start") === comp("node"))
+          val base = tallies(est, compOps).localCheckpoint(true)
+          VoteScore.versus(deltas(state, est), compOps)
             .groupBy("w", "x")
-            .agg(sum(when(col("newEst") > col("bx"), 1).otherwise(0)
+            .agg(sum(when(col("b") > col("bx"), 1).otherwise(0)
                    - when(col("est") > col("bx"), 1).otherwise(0)).as("dw"),
-                 sum(when(col("newEst") < col("bx"), 1).otherwise(0)
+                 sum(when(col("b") < col("bx"), 1).otherwise(0)
                    - when(col("est") < col("bx"), 1).otherwise(0)).as("dl"))
-            .join(baseWL, Seq("x"))
+            .join(base, Seq("x"))
             .groupBy("w")
-            .agg((sum(when(col("wins0") + col("dw") > col("losses0") + col("dl"), 1.0)
-              .otherwise(0.0)) - lit(score0)).as("gain"))
+            .agg((sum(when(col("wins") + col("dw") > col("losses") + col("dl"), 1.0)
+              .otherwise(0.0)) - lit(cur)).as("gain"))
             .collect().map(r => (r.getLong(0), r.getDouble(1)))
 
         case other =>
           throw new IllegalArgumentException(s"walk greedy not defined for ${other.name}")
       }
 
-      val eligible = gainRows.filterNot { case (w, _) => seeds.contains(w) }
-      val pick =
-        if (eligible.nonEmpty) eligible.minBy { case (w, g) => (-g, w) }._1
-        else (0L until inst.n).filterNot(seeds.contains).head
+      // A node on no uncovered walk changes no estimate: its gain is 0.
+      val (pick, gain) = gainRows.filterNot { case (w, _) => seeds.contains(w) }
+        .minByOption { case (w, g) => (-g, w) }
+        .getOrElse(((0L until inst.n).filterNot(seeds.contains).head, 0.0))
       seeds :+= pick
       state = applyCover(state, Seq(pick)).localCheckpoint(true)
-      ests :+= scoreEstimate(state, score, compOps, scale)
+      cur += gain
+      ests :+= cur
     }
     Result(seeds, ests)
   }

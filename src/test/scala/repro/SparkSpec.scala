@@ -28,11 +28,14 @@ object SparkSpec {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // derivation saw the real limit (README § Spark target), and the two
+    // settings that currently change results: shuffle partitions and AQE.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
-      s"defaultParallelism=${s.sparkContext.defaultParallelism}"
+      s"defaultParallelism=${s.sparkContext.defaultParallelism} " +
+      s"shufflePartitions=${s.conf.get("spark.sql.shuffle.partitions")} " +
+      s"adaptive=${s.conf.get("spark.sql.adaptive.enabled")}"
     )
     s
   }

@@ -80,6 +80,23 @@ class OpinionDiffusionSpec extends SparkSpec {
     }
   }
 
+  test("the seedless horizon is diffused once per instance") {
+    assert(inst.opinions(Nil) eq inst.opinions(Nil))
+  }
+
+  test("a copied instance diffuses its own seedless horizon") {
+    // Competitor 1 made fully stubborn at opinion 1 everywhere.
+    val prof = inst.profile.collect().map { r =>
+      if (r.getInt(1) == 1) (r.getLong(0), 1, 1.0, 1.0)
+      else (r.getLong(0), r.getInt(1), r.getDouble(2), r.getDouble(3))
+    }.toSeq.toDF("node", "cand", "b0", "d")
+    val copied = inst.copy(profile = prof)
+    assert(!(copied.opinions(Nil) eq inst.opinions(Nil)))
+    assert(opinionMap(copied.opinions(Nil), 1) == (0L until 4L).map(_ -> 1.0).toMap)
+    assert(opinionMap(copied.competitorOpinions(), 1) == (0L until 4L).map(_ -> 1.0).toMap)
+    assert(opinionMap(inst.competitorOpinions(), 1) != opinionMap(copied.competitorOpinions(), 1))
+  }
+
   test("opinions are non-decreasing in the seed set (monotonicity, §III-B)") {
     val base = opinionMap(inst.opinions(Nil), 0)
     val withSeed = opinionMap(inst.opinions(Seq(0L)), 0)

@@ -53,19 +53,4 @@ class WinSearchSpec extends SparkSpec {
     // Cumulative maxes at 4.0 for the target = competitor's 4.0: never strictly more.
     assert(WinSearch.minSeedsToWin(hard, Cumulative, Seq(0L, 1L, 2L, 3L)).isEmpty)
   }
-
-  test("literal Algorithm 2 binary search agrees with the prefix search") {
-    val seq = GreedyDM.select(inst, Plurality(2), 4).seeds
-    val prefix = WinSearch.minSeedsToWin(inst, Plurality(2), seq)
-    val alg2 = WinSearch.binarySearch(inst, Plurality(2), 4, k => seq.take(k))
-    assert(prefix.map(_._1) == alg2.map(_._1))
-  }
-
-  test("binary search validates with a non-nested selector too") {
-    // Selector returning the k highest-degree nodes (not nested w.r.t. quality,
-    // but still monotone in k for the win predicate on this instance).
-    val res = WinSearch.binarySearch(inst, Plurality(2), 4,
-      k => Seq(2L, 3L, 0L, 1L).take(k))
-    assert(res.isDefined && res.get._1 == 1)
-  }
 }

@@ -1,5 +1,6 @@
 package repro.walks
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.core._
 import repro.expts.{Datasets, RunningExample}
@@ -53,6 +54,33 @@ class WalkGreedySpec extends SparkSpec {
       case Seq(a, b) => assert(b >= a - 1e-9)
       case _         =>
     }
+  }
+
+  /** The last estimate of a greedy run equals the estimator re-run on the
+    * final cover state: each round's gain is the estimator's exact change.
+    */
+  private def assertTrajectoryEndsAtEstimate(score: VoteScore, starts: DataFrame,
+                                             obsIsWalk: Boolean, scale: Double): Unit = {
+    val walks = WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd), starts, rnd.t, 32)
+    val state = WalkGen.annotate(walks, rnd, obsIsWalk)
+    val r = WalkGreedy.select(rnd, score, 3, state, scale)
+    val comp = if (score == Cumulative) null else rnd.competitorOpinions()
+    val est = WalkGreedy.scoreEstimate(WalkGreedy.applyCover(state, r.seeds), score, comp, scale)
+    assert(math.abs(r.estScores.last - est) < 1e-9, s"${score.name}: ${r.estScores.last} vs $est")
+  }
+
+  test("RW cumulative estimate trajectory ends at the estimator's value") {
+    assertTrajectoryEndsAtEstimate(Cumulative, WalkGen.uniformStarts(spark, rnd.n, 30), false, 1.0)
+  }
+
+  test("RW plurality estimate trajectory ends at the estimator's value") {
+    assertTrajectoryEndsAtEstimate(Plurality(3), WalkGen.uniformStarts(spark, rnd.n, 30), false, 1.0)
+  }
+
+  test("RS Copeland estimate trajectory ends at the estimator's value") {
+    val theta = 1000L
+    assertTrajectoryEndsAtEstimate(Copeland, WalkGen.sketchStarts(spark, rnd.n, theta, 33),
+      true, rnd.n.toDouble / theta)
   }
 
   test("RW cumulative seed quality approaches exact greedy (within 10%)") {
