@@ -59,8 +59,9 @@ object GreedyDM {
     Result(seeds, scores)
   }
 
-  /** Heap entry: marginal-gain upper bound for `node`, computed when the
-    * seed set had `round` elements. Each node has exactly one live entry.
+  /** Heap entry: marginal-gain upper bound for `node`, computed in greedy
+    * round `round`, i.e. with `round - 1` seeds; it is fresh in that round.
+    * Each node has exactly one live entry.
     */
   private final case class Entry(gain: Double, node: Long, round: Int)
 
@@ -70,7 +71,7 @@ object GreedyDM {
     // Max-heap on (possibly stale) marginal-gain bounds; ties to smaller id.
     val heap = mutable.PriorityQueue.empty[Entry](
       Ordering.by(e => (e.gain, -e.node)))
-    init.foreach { case (w, s) => heap.enqueue(Entry(s - base0, w, 0)) }
+    init.foreach { case (w, s) => heap.enqueue(Entry(s - base0, w, 1)) }
 
     var seeds = Vector.empty[Long]
     var scores = Vector.empty[Double]

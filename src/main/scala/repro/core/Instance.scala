@@ -14,8 +14,8 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
 
   /** The seedless horizon: exact opinions `(node, cand, b)` of every
     * candidate at `t` with no seeds, diffused once, on first use, and held
-    * as the frame [[OpinionDiffusion.diffuse]] returns (checkpointed for
-    * `t >= 1`). A copy of the instance diffuses its own.
+    * as the local DataFrame [[OpinionDiffusion.diffuse]] returns. A copy of
+    * the instance diffuses its own.
     */
   private lazy val horizon: DataFrame = OpinionDiffusion.diffuse(edges, profile, t)
 

@@ -2,21 +2,28 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import scala.math.Ordering.Double.TotalOrdering
 
 /** Exact opinion diffusion under the Friedkin–Johnsen model (Eq 2 of the
   * paper); DeGroot (Eq 1) is the special case of all-zero stubbornness.
   *
-  * Opinions, stubbornness and initial opinions are DataFrames keyed by
-  * `(node, cand)`; one FJ timestep is one join with the edge list plus a
-  * groupBy — the DataFrame rendering of a sparse matrix–vector product.
+  * Both kernels advance `k` opinion vectors over the `n` nodes together:
+  * one per candidate in [[diffuse]], one per candidate seed in
+  * [[diffuseScenarios]]. The edges stay distributed: each call groups the
+  * in-edges by `dst` once and caches them. Each FJ timestep broadcasts the
+  * current `n × k` opinions and runs one narrow job that returns every
+  * node's weighted in-neighbour sums `wsum`; the driver then applies
+  * `b = (1 − d)·wsum + d·b0`. A node sums its in-edges in ascending `src`
+  * order, so results do not depend on partitioning. The result is a local
+  * DataFrame with no lineage.
   *
   * Seeding a node `s` for candidate `q` sets `b0 = 1` and `d = 1` for
   * `(s, q)` (§II-C), freezing its opinion about `q` at 1.
   *
-  * Both loops checkpoint every step: reusing `edges` across steps without
-  * a checkpoint trips Spark's ambiguous-self-join detection (the growing
-  * plan contains the edge Dataset several times), and eager checkpointing
-  * also keeps plans O(1) per step.
+  * Edges must be normalized ([[GraphOps.normalize]]), so every node has an
+  * in-edge. A profile must hold exactly one row per node (and candidate),
+  * with node ids `0 until n` (and candidates `0 until r`); the kernels
+  * reject any other with an `IllegalArgumentException`.
   */
 object OpinionDiffusion {
 
@@ -40,24 +47,21 @@ object OpinionDiffusion {
     */
   def diffuse(edges: DataFrame, profile: DataFrame, t: Int): DataFrame = {
     require(t >= 0, s"time horizon must be non-negative, got $t")
-    var b = profile.select(col("node"), col("cand"), col("b0").as("b"))
-    for (_ <- 1 to t) {
-      val wsum = b.join(edges, b("node") === edges("src"))
-        .groupBy(edges("dst").as("node"), col("cand"))
-        .agg(sum(col("b") * col("w")).as("wsum"))
-      b = profile.join(wsum, Seq("node", "cand"))
-        .select(col("node"), col("cand"),
-          ((lit(1.0) - col("d")) * col("wsum") + col("d") * col("b0")).as("b"))
-        .localCheckpoint(true)
-    }
-    b
+    val rows = profile.select(col("node").cast("long"), col("cand").cast("int"),
+        col("b0").cast("double"), col("d").cast("double")).collect()
+      .map(r => (r.getLong(0), r.getInt(1), r.getDouble(2), r.getDouble(3)))
+    val r = rows.map(_._2).maxOption.fold(0)(_ + 1)
+    val (n, b0, d) = dense(rows, r, (v, c) => s"(node=$v, cand=$c)")
+    val b = advance(edges, b0, d, r, t)
+    val spark = edges.sparkSession
+    import spark.implicits._
+    (for (v <- 0 until n; c <- 0 until r) yield (v.toLong, c, b(v * r + c))).toDF("node", "cand", "b")
   }
 
   /** Scenario-vectorized diffusion for greedy marginal-gain evaluation:
     * each scenario is "add candidate seed `scen` on top of the already
-    * applied base profile". All scenarios advance together — one edge join
-    * per timestep covers every scenario, instead of one diffusion per
-    * candidate seed.
+    * applied base profile". All scenarios advance together, one opinion
+    * vector each, instead of one diffusion per candidate seed.
     *
     * @param targetProfile `(node, b0, d)` for the target candidate only,
     *                      with the current seed set already applied
@@ -66,21 +70,96 @@ object OpinionDiffusion {
     */
   def diffuseScenarios(edges: DataFrame, targetProfile: DataFrame,
                        scenarios: DataFrame, t: Int): DataFrame = {
-    val prof = scenarios.crossJoin(targetProfile)
-      .select(col("scen"), col("node"),
-        when(col("node") === col("scen"), lit(1.0)).otherwise(col("b0")).as("b0"),
-        when(col("node") === col("scen"), lit(1.0)).otherwise(col("d")).as("d"))
-      .localCheckpoint(true)
-    var b = prof.select(col("scen"), col("node"), col("b0").as("b"))
-    for (_ <- 1 to t) {
-      val wsum = b.join(edges, b("node") === edges("src"))
-        .groupBy(col("scen"), edges("dst").as("node"))
-        .agg(sum(col("b") * col("w")).as("wsum"))
-      b = prof.join(wsum, Seq("scen", "node"))
-        .select(col("scen"), col("node"),
-          ((lit(1.0) - col("d")) * col("wsum") + col("d") * col("b0")).as("b"))
-        .localCheckpoint(true)
+    require(t >= 0, s"time horizon must be non-negative, got $t")
+    val rows = targetProfile.select(col("node").cast("long"),
+        col("b0").cast("double"), col("d").cast("double")).collect()
+      .map(r => (r.getLong(0), 0, r.getDouble(1), r.getDouble(2)))
+    val (n, b0, d) = dense(rows, 1, (v, _) => s"(node=$v)")
+    val scen = scenarios.select(col("scen").cast("long")).collect().map(_.getLong(0))
+    val k = scen.length
+    // Scenario j pins its own node: b0 = d = 1 there.
+    def pinned(base: Array[Double])(i: Int): Double =
+      if (scen(i % k) == i / k) 1.0 else base(i / k)
+    val b = advance(edges, Array.tabulate(n * k)(pinned(b0)), Array.tabulate(n * k)(pinned(d)), k, t)
+    val spark = edges.sparkSession
+    import spark.implicits._
+    (for (v <- 0 until n; j <- 0 until k) yield (scen(j), v.toLong, b(v * k + j))).toDF("scen", "node", "b")
+  }
+
+  /** Node-major `b0` and `d` arrays (entry `v * k + c`) from profile rows
+    * `(node, c, b0, d)`, and the node count `n`. Every `(node, c)` in
+    * `0 until n` × `0 until k` must appear exactly once; `label` names a
+    * row in the error.
+    */
+  private def dense(rows: Array[(Long, Int, Double, Double)], k: Int,
+                    label: (Long, Int) => String): (Int, Array[Double], Array[Double]) = {
+    require(rows.nonEmpty, "empty profile")
+    rows.foreach { case (v, c, _, _) =>
+      require(v >= 0 && v < Int.MaxValue && c >= 0 && c < k, s"profile row ${label(v, c)} is out of range")
     }
-    b
+    // The sorted keys of a complete profile are exactly 0 until n·k.
+    val keys = rows.map { case (v, c, _, _) => v * k + c }.sorted
+    val i = keys.indices.find(i => keys(i) != i).getOrElse(keys.length)
+    def row(key: Long) = label(key / k, (key % k).toInt)
+    require(i == keys.length || keys(i) > i, s"duplicate profile row ${row(keys(i))}")
+    require(i == keys.length && keys.length % k == 0, s"missing profile row ${row(i)}")
+    val b0, d = new Array[Double](rows.length)
+    rows.foreach { case (v, c, rb0, rd) => b0(v.toInt * k + c) = rb0; d(v.toInt * k + c) = rd }
+    (rows.length / k, b0, d)
+  }
+
+  /** `t` FJ steps of the `k` node-major opinion vectors with initial
+    * opinions `b0` and stubbornness `d`; one Spark job per step.
+    */
+  private def advance(edges: DataFrame, b0: Array[Double], d: Array[Double],
+                      k: Int, t: Int): Array[Double] = {
+    if (t == 0 || b0.isEmpty) return b0
+    val n = b0.length / k
+    val sc = edges.sparkSession.sparkContext
+    val inEdges = edges.select(col("dst").cast("long"), col("src").cast("long"), col("w").cast("double"))
+      .rdd.map(r => (r.getLong(0), (r.getLong(1), r.getDouble(2))))
+      .groupByKey()
+      .mapValues { es => val sorted = es.toArray.sorted; (sorted.map(_._1), sorted.map(_._2)) }
+      .cache()
+    try {
+      var b = b0
+      for (_ <- 1 to t) {
+        val bc = sc.broadcast(b)
+        val sums = try {
+          inEdges.mapPartitions(_.map { case (dst, (srcs, ws)) =>
+            // A source outside the profile yields no sums; the driver reports it.
+            (dst, if (srcs.head < 0 || srcs.last >= n) null else inSums(srcs, ws, bc.value, k))
+          }).collect()
+        } finally bc.destroy()
+        val next = new Array[Double](n * k)
+        val reached = new Array[Boolean](n)
+        sums.foreach { case (dst, s) =>
+          require(dst >= 0 && dst < n, s"node $dst has in-edges but no profile row")
+          require(s != null, s"an in-edge of node $dst comes from a node with no profile row")
+          val base = dst.toInt * k
+          reached(dst.toInt) = true
+          for (j <- 0 until k)
+            next(base + j) = (1.0 - d(base + j)) * s(j) + d(base + j) * b0(base + j)
+        }
+        val orphan = reached.indexOf(false)
+        require(orphan < 0, s"node $orphan has no in-edges; normalize the edges first")
+        b = next
+      }
+      b
+    } finally inEdges.unpersist(blocking = false)
+  }
+
+  /** One node's in-neighbour sums `Σ w·b(src)` for each of the `k`
+    * vectors, over its in-edges in ascending `src` order.
+    */
+  private def inSums(srcs: Array[Long], ws: Array[Double], b: Array[Double], k: Int): Array[Double] = {
+    val s = new Array[Double](k)
+    for (e <- srcs.indices) {
+      val base = srcs(e).toInt * k
+      val w = ws(e)
+      var j = 0
+      while (j < k) { s(j) += b(base + j) * w; j += 1 }
+    }
+    s
   }
 }

@@ -22,7 +22,7 @@ object Table1Exp {
       .sortBy { case (s, _) => (s.size, s.toSeq.sorted.mkString) }
       .map { case (paperSeeds, (pCum, pPlu, pCope)) =>
         val seeds = RunningExample.seedsOf(paperSeeds)
-        val ops = inst.opinions(seeds).localCheckpoint(true)
+        val ops = inst.opinions(seeds)
         val opinionVec = ops.filter(col("cand") === 0).orderBy("node")
           .collect().map(_.getDouble(2)).toSeq
         Row(paperSeeds, opinionVec,

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{JobCounter, SparkSpec}
 import repro.expts.{Datasets, RunningExample}
 
 class GreedyDMSpec extends SparkSpec {
@@ -77,5 +77,14 @@ class GreedyDMSpec extends SparkSpec {
       assert(r.seeds.length == 2, s.name)
       assert(r.scores.last >= inst.targetScore(s, Nil) - 1e-9, s.name)
     }
+  }
+
+  test("CELF's first pick costs no more jobs than plain greedy's plus one base score") {
+    rnd.targetScore(Cumulative, Nil) // diffuse the seedless horizon outside the counts
+    val (plain, plainJobs) = JobCounter(spark)(GreedyDM.select(rnd, Cumulative, 1))
+    val (celf, celfJobs) = JobCounter(spark)(GreedyDM.select(rnd, Cumulative, 1, celf = true))
+    val (_, baseJobs) = JobCounter(spark)(rnd.targetScore(Cumulative, Nil))
+    assert(celf.seeds == plain.seeds)
+    assert(celfJobs <= plainJobs + baseJobs, s"CELF $celfJobs, plain $plainJobs, base score $baseJobs")
   }
 }

@@ -1,13 +1,17 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
-import repro.expts.RunningExample
+import org.apache.spark.sql.DataFrame
+import repro.{JobCounter, Oracle, SparkSpec}
+import repro.expts.{Datasets, RunningExample}
 
 class OpinionDiffusionSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val inst = RunningExample.instance(spark)
+  // A random instance with r=3 and t=4 for the kernel-level checks.
+  private lazy val rnd = Datasets.instance(spark,
+    Datasets.Spec("ref", "ref", 40, 200, 3, 0, 0, 307), t = 4)
 
   private def opinionMap(ops: org.apache.spark.sql.DataFrame, cand: Int): Map[Long, Double] =
     ops.filter(col("cand") === cand).collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap
@@ -141,5 +145,74 @@ class OpinionDiffusionSpec extends SparkSpec {
       "edges" -> inst.edges,
       "prof" -> prof,
     )
+  }
+
+  private def rowsOf(df: DataFrame): Map[(Long, Long), Double] =
+    df.collect().map(r => (r.getAs[Number](0).longValue, r.getAs[Number](1).longValue) -> r.getDouble(2)).toMap
+
+  private def assertClose(got: Map[(Long, Long), Double], want: Map[(Long, Long), Double]): Unit = {
+    assert(got.keySet == want.keySet)
+    want.foreach { case (key, b) => assert(math.abs(got(key) - b) < 1e-12, s"row $key") }
+  }
+
+  test("diffuse agrees with the join+groupBy kernel it replaced, with and without seeds") {
+    for (seeds <- Seq(Nil, Seq(3L, 17L))) {
+      val prof = OpinionDiffusion.applySeeds(rnd.profile, rnd.q, seeds)
+      assertClose(rowsOf(OpinionDiffusion.diffuse(rnd.edges, prof, rnd.t)),
+        rowsOf(JoinDiffusion.diffuse(rnd.edges, prof, rnd.t)))
+    }
+  }
+
+  test("diffuseScenarios agrees with the join+groupBy kernel it replaced") {
+    val scen = (0L until rnd.n).toDF("scen")
+    val prof = rnd.targetProfile(Seq(3L, 17L))
+    assertClose(rowsOf(OpinionDiffusion.diffuseScenarios(rnd.edges, prof, scen, rnd.t)),
+      rowsOf(JoinDiffusion.diffuseScenarios(rnd.edges, prof, scen, rnd.t)))
+  }
+
+  test("diffusion results are bit-identical across edge and shuffle partitioning") {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    def run(edgeParts: Int, shuffleParts: Int) = {
+      spark.conf.set(key, shuffleParts.toLong)
+      val edges = rnd.edges.repartition(edgeParts)
+      (rowsOf(OpinionDiffusion.diffuse(edges, rnd.profile, rnd.t)),
+        rowsOf(OpinionDiffusion.diffuseScenarios(edges, rnd.targetProfile(Seq(3L)),
+          (0L until rnd.n).toDF("scen"), rnd.t)))
+    }
+    try assert(run(1, 4) == run(7, 64))
+    finally spark.conf.set(key, saved)
+  }
+
+  test("a duplicate profile row is rejected by name") {
+    val dup = inst.profile.unionByName(inst.profile.filter(col("node") === 2 && col("cand") === 0))
+    val e1 = intercept[IllegalArgumentException](OpinionDiffusion.diffuse(inst.edges, dup, 1))
+    assert(e1.getMessage.contains("duplicate profile row (node=2, cand=0)"))
+    val target = dup.filter(col("cand") === 0).select("node", "b0", "d")
+    val e2 = intercept[IllegalArgumentException](
+      OpinionDiffusion.diffuseScenarios(inst.edges, target, Seq(1L).toDF("scen"), 1))
+    assert(e2.getMessage.contains("duplicate profile row (node=2)"))
+  }
+
+  test("a missing profile row is rejected by name") {
+    val gap = inst.profile.filter(!(col("node") === 1 && col("cand") === 1))
+    val e1 = intercept[IllegalArgumentException](OpinionDiffusion.diffuse(inst.edges, gap, 1))
+    assert(e1.getMessage.contains("missing profile row (node=1, cand=1)"))
+    val target = inst.profile.filter(col("cand") === 0 && col("node") =!= 1).select("node", "b0", "d")
+    val e2 = intercept[IllegalArgumentException](
+      OpinionDiffusion.diffuseScenarios(inst.edges, target, Seq(0L).toDF("scen"), 1))
+    assert(e2.getMessage.contains("missing profile row (node=1)"))
+  }
+
+  test("diffuse runs at most t + 2 Spark jobs") {
+    val (_, jobs) = JobCounter(spark)(OpinionDiffusion.diffuse(rnd.edges, rnd.profile, rnd.t))
+    assert(jobs <= rnd.t + 2, s"$jobs jobs")
+  }
+
+  test("diffuseScenarios runs at most t + 2 Spark jobs") {
+    val scen = (0L until rnd.n).toDF("scen")
+    val (_, jobs) = JobCounter(spark)(
+      OpinionDiffusion.diffuseScenarios(rnd.edges, rnd.targetProfile(Seq(3L)), scen, rnd.t))
+    assert(jobs <= rnd.t + 2, s"$jobs jobs")
   }
 }
