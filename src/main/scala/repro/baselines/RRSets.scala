@@ -33,55 +33,32 @@ object RRSets {
   def sampleIC(spark: SparkSession, edges: DataFrame, roots: DataFrame,
                maxDepth: Int, seed: Long): DataFrame = {
     val real = edges.filter(col("src") =!= col("dst")).localCheckpoint(true)
-    var visited = roots
-    var frontier = roots
-    for (depth <- 1 to maxDepth) {
-      val live = frontier.join(real, frontier("node") === real("dst"))
+    GraphOps.expand(roots, Seq("rr", "node"), maxDepth) { (frontier, depth) =>
+      frontier.join(real, frontier("node") === real("dst"))
         .filter(rand(seed * 131 + depth) < col("w"))
         .select(col("rr"), col("src").as("node")).distinct()
-      frontier = live.join(visited, Seq("rr", "node"), "left_anti").localCheckpoint(true)
-      if (frontier.isEmpty) return visited
-      visited = visited.unionByName(frontier).localCheckpoint(true)
     }
-    visited
   }
 
   /** LT RR sets `(rr, node)`: reverse paths, one in-neighbor per step. */
   def sampleLT(spark: SparkSession, edges: DataFrame, roots: DataFrame,
                maxDepth: Int, seed: Long): DataFrame = {
     val cdf = GraphOps.inEdgeCdf(edges).localCheckpoint(true)
-    var visited = roots
-    var frontier = roots
-    for (depth <- 1 to maxDepth) {
+    GraphOps.expand(roots, Seq("rr", "node"), maxDepth) { (frontier, depth) =>
       val r = rand(seed * 137 + depth)
-      val next = frontier.withColumn("r", r)
+      frontier.withColumn("r", r)
         .join(cdf, frontier("node") === cdf("dst") &&
                    col("r") >= cdf("lo") && col("r") < cdf("hi"))
         .filter(cdf("src") =!= frontier("node")) // full-weight self-loop = stop
         .select(col("rr"), cdf("src").as("node"))
-      frontier = next.join(visited, Seq("rr", "node"), "left_anti").localCheckpoint(true)
-      if (frontier.isEmpty) return visited
-      visited = visited.unionByName(frontier).localCheckpoint(true)
     }
-    visited
   }
 
-  /** Greedy max coverage: k nodes covering the most RR sets. */
-  def greedyCover(rrSets: DataFrame, k: Int, n: Long): Seq[Long] = {
-    var remaining = rrSets.localCheckpoint(true)
-    var seeds = Vector.empty[Long]
-    for (_ <- 1 to k) {
-      val top = remaining.groupBy("node").agg(count(lit(1)).as("c"))
-        .orderBy(col("c").desc, col("node")).limit(1).collect()
-      val pick =
-        if (top.nonEmpty) top.head.getLong(0)
-        else (0L until n).filterNot(seeds.contains).head // all RR sets covered
-      seeds :+= pick
-      val coveredRr = remaining.filter(col("node") === pick).select("rr").distinct()
-      remaining = remaining.join(coveredRr, Seq("rr"), "left_anti").localCheckpoint(true)
-    }
-    seeds
-  }
+  /** Greedy max coverage ([[GraphOps.maxCoverage]]): k nodes covering the
+    * most RR sets.
+    */
+  def greedyCover(rrSets: DataFrame, k: Int, n: Long): Seq[Long] =
+    GraphOps.maxCoverage(rrSets.select("node", "rr"), k, n).map(_._1)
 
   /** End-to-end baseline: sample θ RR sets under `model` and pick k seeds. */
   def select(inst: Instance, model: String, k: Int, theta: Long,

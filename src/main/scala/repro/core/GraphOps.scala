@@ -61,19 +61,59 @@ object GraphOps {
     * (Def 2) for every possible seed `s` at once. Self-loops added by
     * [[normalize]] are harmless (they only re-reach the same node).
     */
-  def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame = {
-    var reach = spark.range(n).select(col("id").as("root"), col("id").as("node"))
-    var frontier = reach
-    for (_ <- 1 to t) {
-      val stepped = frontier.join(edges, frontier("node") === edges("src"))
-        .select(col("root"), col("dst").as("node"))
-        .distinct()
-      frontier = stepped.join(reach, Seq("root", "node"), "left_anti")
-        .localCheckpoint(true)
-      if (frontier.isEmpty) return reach
-      reach = reach.unionByName(frontier).localCheckpoint(true)
+  def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame =
+    expand(spark.range(n).select(col("id").as("root"), col("id").as("node")), Seq("root", "node"), t) {
+      (frontier, _) =>
+        frontier.join(edges, frontier("node") === edges("src"))
+          .select(col("root"), col("dst").as("node"))
+          .distinct()
     }
-    reach
+
+  /** Bounded frontier expansion: starting from the rows `start`, each of at
+    * most `depth` steps maps the current frontier with `step(frontier, d)`
+    * (`d` = 1, 2, …) and keeps the rows not reached before, compared on the
+    * `key` columns. Returns every reached row. Each frontier is checkpointed
+    * eagerly, which cuts lineage and freezes any randomness `step` draws;
+    * the loop stops early once a frontier is empty.
+    */
+  def expand(start: DataFrame, key: Seq[String], depth: Int)
+            (step: (DataFrame, Int) => DataFrame): DataFrame = {
+    var reached = start
+    var frontier = start
+    for (d <- 1 to depth) {
+      frontier = step(frontier, d).join(reached, key, "left_anti").localCheckpoint(true)
+      if (frontier.isEmpty) return reached
+      reached = reached.unionByName(frontier).localCheckpoint(true)
+    }
+    reached
+  }
+
+  /** Greedy maximum coverage over `pairs` `(set, elem)`, whose two columns
+    * are a set id in `0 until n` and an element it covers: `k` picks, each
+    * the set covering the most elements not yet covered, ties to the smaller
+    * id. Once every element is covered, the smallest unpicked id is picked.
+    * Returns each pick with its new coverage (the number of elements it
+    * covers first). Coverage is submodular, so greedy is
+    * (1-1/e)-approximate.
+    */
+  def maxCoverage(pairs: DataFrame, k: Int, n: Long): Seq[(Long, Long)] = {
+    require(k >= 1 && k <= n, s"k=$k out of range [1, $n]")
+    var remaining = pairs.toDF("set", "elem").localCheckpoint(true)
+    var picks = Vector.empty[(Long, Long)]
+    for (i <- 1 to k) {
+      val top = remaining.groupBy("set").agg(count(lit(1)).as("c"))
+        .orderBy(col("c").desc, col("set")).limit(1).collect()
+      val pick = top.headOption match {
+        case Some(r) => (r.getLong(0), r.getLong(1))
+        case None => ((0L until n).find(v => !picks.exists(_._1 == v)).get, 0L) // all covered
+      }
+      picks :+= pick
+      if (i < k) {
+        val covered = remaining.filter(col("set") === pick._1).select("elem").distinct()
+        remaining = remaining.join(covered, Seq("elem"), "left_anti").localCheckpoint(true)
+      }
+    }
+    picks
   }
 
   /** Weighted out-degree per node: rows `(node, outdeg)`; nodes with no

@@ -61,7 +61,9 @@ object OpinionDiffusion {
   /** Scenario-vectorized diffusion for greedy marginal-gain evaluation:
     * each scenario is "add candidate seed `scen` on top of the already
     * applied base profile". All scenarios advance together, one opinion
-    * vector each, instead of one diffusion per candidate seed.
+    * vector each, instead of one diffusion per candidate seed. A scenario
+    * id outside `0 until n` pins no node: its rows are the base profile's
+    * own opinions, from which greedy reads `F(S)` in the same batch.
     *
     * @param targetProfile `(node, b0, d)` for the target candidate only,
     *                      with the current seed set already applied

@@ -27,10 +27,11 @@ object Sandwich {
                           ratioU: Double)
 
   /** Favorable users set `Vq` (Def 1): users ranking the target within the
-    * top `p` at the horizon with no seeds. Single-column `(node)`.
+    * top `p` at the horizon with `seeds` for the target (the sandwich uses
+    * none). Single-column `(node)`.
     */
-  def favorableUsers(inst: Instance, p: Int): DataFrame =
-    VoteScore.versus(inst.opinions(Nil).filter(col("cand") === inst.q).select("node", "b"),
+  def favorableUsers(inst: Instance, p: Int, seeds: Seq[Long] = Nil): DataFrame =
+    VoteScore.versus(inst.opinions(seeds).filter(col("cand") === inst.q).select("node", "b"),
       inst.competitorOpinions())
       .groupBy("node").agg(VoteScore.rank)
       .filter(col("beta") <= p)
@@ -42,32 +43,17 @@ object Sandwich {
     */
   def weaklyFavorableUsers(inst: Instance): DataFrame = favorableUsers(inst, inst.r - 1)
 
-  /** Greedy maximization of `factor * |N_S ∪ fixed|` — submodular coverage,
-    * so greedy is (1-1/e)-approximate. Returns the seeds and the exact UB
-    * value of the returned set.
+  /** Greedy maximization of `factor * |N_S ∪ fixed|` — a max coverage
+    * ([[GraphOps.maxCoverage]]) of the users outside `fixed` by the t-hop
+    * reach sets. Returns the seeds and the exact UB value of the returned
+    * set.
     */
   def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) = {
-    val spark = inst.edges.sparkSession
-    val reach = GraphOps.reachWithin(spark, inst.edges, inst.n, inst.t).localCheckpoint(true)
-    var covered = fixed.select("node").distinct().localCheckpoint(true)
-    var seeds = Vector.empty[Long]
-    for (_ <- 1 to k) {
-      val candidates =
-        if (seeds.isEmpty) reach else reach.filter(!col("root").isInCollection(seeds))
-      val gains = candidates
-        .join(covered, Seq("node"), "left_anti")
-        .groupBy("root").agg(count(lit(1)).as("g"))
-        .orderBy(col("g").desc, col("root"))
-        .limit(1).collect()
-      val pick =
-        if (gains.nonEmpty) gains.head.getLong(0)
-        else (0L until inst.n).filterNot(seeds.contains).head // everything covered
-      seeds :+= pick
-      covered = covered
-        .unionByName(reach.filter(col("root") === pick).select("node"))
-        .distinct().localCheckpoint(true)
-    }
-    (seeds, covered.count() * factor)
+    val users = fixed.select("node").distinct()
+    val reach = GraphOps.reachWithin(inst.edges.sparkSession, inst.edges, inst.n, inst.t)
+    val uncovered = reach.join(users, Seq("node"), "left_anti").select("root", "node")
+    val picks = GraphOps.maxCoverage(uncovered, k, inst.n)
+    (picks.map(_._1), (users.count() + picks.map(_._2).sum) * factor)
   }
 
   /** Algorithm 3 for a plurality-variant score. */

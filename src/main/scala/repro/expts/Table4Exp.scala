@@ -1,9 +1,9 @@
 package repro.expts
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.SynthSocial
-import repro.core.{GraphOps, Instance, Plurality, VoteScore}
+import repro.core.{GraphOps, Instance, Plurality, Sandwich}
 import repro.walks.Methods
 
 /** Table IV/V reproduction (scaled): the ACM-election case study on a
@@ -27,14 +27,6 @@ object Table4Exp {
                        beforeTotal: Long, afterTotal: Long,
                        rows: Seq[DomainRow], topSeeds: Seq[Long])
 
-  /** Users voting for the target: those ranking it strictly top (p = 1). */
-  private def voters(inst: Instance, seeds: Seq[Long]): DataFrame =
-    VoteScore.versus(inst.opinions(seeds).filter(col("cand") === inst.q).select("node", "b"),
-      inst.competitorOpinions())
-      .groupBy("node").agg(VoteScore.rank)
-      .filter(col("beta") === 1)
-      .select("node")
-
   def run(spark: SparkSession, n: Long = 1200, m: Long = 9600,
           k: Int = 25, t: Int = 10, lambda: Int = 20, seed: Long = 601): Out = {
     val domains = SynthSocial.domains(spark, n, 7, seed).localCheckpoint(true)
@@ -46,8 +38,9 @@ object Table4Exp {
 
     val seeds = Methods.rw(inst, Plurality(2), k, seed = seed + 3,
       lambdaOverride = Some(lambda)).seeds
-    val before = voters(inst, Nil).localCheckpoint(true)
-    val after = voters(inst, seeds).localCheckpoint(true)
+    // Users voting for the target: those ranking it strictly top (p = 1).
+    val before = Sandwich.favorableUsers(inst, 1).localCheckpoint(true)
+    val after = Sandwich.favorableUsers(inst, 1, seeds).localCheckpoint(true)
 
     // Switched users and the domain each top-10 seed influences the most:
     // switched users within the seed's t-hop reach, grouped by domain.

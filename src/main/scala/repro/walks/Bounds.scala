@@ -7,7 +7,8 @@ import repro.core.{Cumulative, Instance, VoteScore}
 /** Walk-count bounds of §V-C and §VI.
   *
   * λ bounds (Thms 10–12) govern the per-node walk counts of the RW method;
-  * θ (Eq 40 / §VI-E) governs the sketch count of the RS method.
+  * θ (Eq 40) governs the sketch count of the RS method for the cumulative
+  * score. For the ranked scores the caller sets θ.
   */
 object Bounds {
 
@@ -75,22 +76,4 @@ object Bounds {
     */
   def optLowerBoundCumulative(inst: Instance, k: Int): Double =
     math.max(k.toDouble, inst.targetScore(Cumulative, Nil))
-
-  /** §VI-E heuristic θ for the ranked scores: double θ until the estimated
-    * score of a fixed probe seed set changes by less than `tol` relatively.
-    * Returns the converged θ.
-    */
-  def heuristicTheta(estimateAt: Long => Double, thetaStart: Long, thetaMax: Long,
-                     tol: Double = 0.05): Long = {
-    var theta = math.max(1L, thetaStart)
-    var prev = estimateAt(theta)
-    while (theta * 2 <= thetaMax) {
-      val next = estimateAt(theta * 2)
-      val denom = math.max(math.abs(prev), 1e-9)
-      if (math.abs(next - prev) / denom < tol) return theta * 2
-      prev = next
-      theta *= 2
-    }
-    thetaMax
-  }
 }

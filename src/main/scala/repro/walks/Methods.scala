@@ -11,7 +11,7 @@ import repro.core._
   *
   * RS (Algorithm 5): one reverse walk from each of θ uniformly sampled
   * start nodes — θ from Eq 40 (cumulative, with the deterministic OPT lower
-  * bound) or caller-supplied (ranked scores use the §VI-E heuristic).
+  * bound) or caller-supplied for the ranked scores.
   */
 object Methods {
 
@@ -39,7 +39,8 @@ object Methods {
   }
 
   /** RS seed selection. θ defaults to Eq 40 for the cumulative score and to
-    * `thetaCap` otherwise (callers pick the §VI-E heuristic value).
+    * `thetaCap` otherwise; callers of the ranked scores fix it with
+    * `thetaOverride`.
     */
   def rs(inst: Instance, score: VoteScore, k: Int,
          eps: Double = 0.1, l: Double = 1.0, seed: Long = 43,

@@ -87,6 +87,10 @@ class RRSetsSpec extends SparkSpec {
     intercept[IllegalArgumentException](RRSets.select(rnd, "nope", 2, 10))
   }
 
+  test("select rejects k > n") {
+    intercept[IllegalArgumentException](RRSets.select(chain, "ic", 5, theta = 20, seed = 14))
+  }
+
   test("IC seeds beat random seeds on expected coverage (sanity of the baseline)") {
     val s = RRSets.select(rnd, "ic", 3, theta = 600, seed = 11)
     val roots = RRSets.sampleRoots(spark, rnd.n, 600, seed = 12)

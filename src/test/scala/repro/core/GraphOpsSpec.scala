@@ -95,6 +95,15 @@ class GraphOpsSpec extends SparkSpec {
     assert(r10 == r4)
   }
 
+  test("maxCoverage returns each pick's new coverage, ties to the smaller id, then unpicked ids") {
+    import spark.implicits._
+    // Set 1 covers {11, 12}, set 2 covers {10, 11}, set 3 covers {13}.
+    val pairs = Seq((2L, 10L), (2L, 11L), (1L, 11L), (1L, 12L), (3L, 13L)).toDF("set", "elem")
+    assert(GraphOps.maxCoverage(pairs, 5, 5) == Seq(1L -> 2L, 2L -> 1L, 3L -> 1L, 0L -> 0L, 4L -> 0L))
+    intercept[IllegalArgumentException](GraphOps.maxCoverage(pairs, 6, 5))
+    intercept[IllegalArgumentException](GraphOps.maxCoverage(pairs, 0, 5))
+  }
+
   test("weightedOutDegree excludes self-loops and defaults to 0") {
     val deg = GraphOps.weightedOutDegree(spark, edges, 5).collect()
       .map(r => r.getLong(0) -> r.getDouble(1)).toMap

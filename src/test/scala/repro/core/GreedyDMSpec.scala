@@ -30,10 +30,12 @@ class GreedyDMSpec extends SparkSpec {
   }
 
   test("reported trajectory scores equal exact re-evaluation of prefixes") {
-    val r = GreedyDM.select(rnd, Cumulative, 4)
-    for (i <- 1 to 4) {
-      val exact = rnd.targetScore(Cumulative, r.seeds.take(i))
-      assert(math.abs(r.scores(i - 1) - exact) < 1e-9, s"prefix $i")
+    for ((s, k) <- Seq(Cumulative -> 4, Plurality(3) -> 3, PApproval(2, 3) -> 3, Copeland -> 3)) {
+      val r = GreedyDM.select(rnd, s, k)
+      for (i <- 1 to k) {
+        val exact = rnd.targetScore(s, r.seeds.take(i))
+        assert(math.abs(r.scores(i - 1) - exact) < 1e-9, s"${s.name} prefix $i")
+      }
     }
   }
 
@@ -86,5 +88,13 @@ class GreedyDMSpec extends SparkSpec {
     val (_, baseJobs) = JobCounter(spark)(rnd.targetScore(Cumulative, Nil))
     assert(celf.seeds == plain.seeds)
     assert(celfJobs <= plainJobs + baseJobs, s"CELF $celfJobs, plain $plainJobs, base score $baseJobs")
+  }
+
+  test("CELF's first pick runs exactly as many jobs as plain greedy's") {
+    rnd.targetScore(Cumulative, Nil) // diffuse the seedless horizon outside the counts
+    val (plain, plainJobs) = JobCounter(spark)(GreedyDM.select(rnd, Cumulative, 1))
+    val (celf, celfJobs) = JobCounter(spark)(GreedyDM.select(rnd, Cumulative, 1, celf = true))
+    assert(celf == plain)
+    assert(celfJobs == plainJobs, s"CELF $celfJobs, plain $plainJobs")
   }
 }

@@ -170,6 +170,18 @@ class OpinionDiffusionSpec extends SparkSpec {
       rowsOf(JoinDiffusion.diffuseScenarios(rnd.edges, prof, scen, rnd.t)))
   }
 
+  test("a scenario id outside 0 until n pins no node: its rows equal diffuse's target rows") {
+    val seeds = Seq(3L, 17L)
+    val noSeed = OpinionDiffusion.diffuseScenarios(rnd.edges, rnd.targetProfile(seeds),
+      Seq(5L, -1L, rnd.n).toDF("scen"), rnd.t).filter(col("scen") =!= 5L)
+      .collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+    val want = opinionMap(OpinionDiffusion.diffuse(rnd.edges,
+      OpinionDiffusion.applySeeds(rnd.profile, rnd.q, seeds), rnd.t), rnd.q)
+    assert(noSeed.size == 2 * rnd.n)
+    for (scen <- Seq(-1L, rnd.n); v <- 0L until rnd.n)
+      assert(math.abs(noSeed((scen, v)) - want(v)) < 1e-12, s"scenario $scen node $v")
+  }
+
   test("diffusion results are bit-identical across edge and shuffle partitioning") {
     val key = "spark.sql.shuffle.partitions"
     val saved = spark.conf.get(key)

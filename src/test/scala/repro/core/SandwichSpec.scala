@@ -86,6 +86,22 @@ class SandwichSpec extends SparkSpec {
     assert(math.abs(ub - reach * 0.5) < 1e-9)
   }
 
+  test("coverageGreedy UB with a fixed set overlapping the reach sets is factor * |N_S ∪ fixed|") {
+    import spark.implicits._
+    val reach = GraphOps.reachWithin(spark, rnd.edges, rnd.n, rnd.t)
+    // The users reached from node 0, and node 1, are fixed (already covered).
+    val fixed = reach.filter(col("root") === 0L).select("node").union(Seq(1L).toDF("node"))
+    val (seeds, ub) = Sandwich.coverageGreedy(rnd, fixed, 3, 0.5)
+    val union = reach.filter(col("root").isInCollection(seeds)).select("node")
+      .unionByName(fixed).distinct().count()
+    assert(seeds.length == 3 && seeds.distinct.length == 3)
+    assert(math.abs(ub - union * 0.5) < 1e-9, s"UB $ub vs |N_S ∪ fixed| = $union")
+  }
+
+  test("Sandwich.run rejects k > n") {
+    intercept[IllegalArgumentException](Sandwich.run(inst, Plurality(2), k = 5))
+  }
+
   test("Algorithm 3 (plurality) returns the best of S_U, S_L, S_F by F") {
     val res = Sandwich.run(rnd, Plurality(3), k = 2)
     val plu = Plurality(3)

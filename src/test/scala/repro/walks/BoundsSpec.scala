@@ -63,21 +63,6 @@ class BoundsSpec extends SparkSpec {
     assert(inst.targetScore(Cumulative, Seq(0L)) >= lb - 1e-9)
   }
 
-  test("heuristicTheta stops once estimates converge") {
-    // Estimate function converging to 10 as theta grows.
-    val theta = Bounds.heuristicTheta(
-      th => 10.0 - 8.0 / th, thetaStart = 1, thetaMax = 1 << 20, tol = 0.01)
-    assert(theta < (1 << 20))
-    val next = 10.0 - 8.0 / (theta * 2)
-    val cur = 10.0 - 8.0 / theta
-    assert(math.abs(next - cur) / cur < 0.02)
-  }
-
-  test("heuristicTheta returns thetaMax when never converging") {
-    val theta = Bounds.heuristicTheta(th => th.toDouble, 1, 64, tol = 0.01)
-    assert(theta == 64)
-  }
-
   test("lambdaPerNode matches a direct gamma computation via DuckDB") {
     val got = Bounds.lambdaPerNode(inst, rho = 0.9, gammaFloor = 0.01, lambdaCap = 100000)
       .select(col("node").cast("long").as("node"), col("lam").cast("long").as("lam"))

@@ -2,7 +2,7 @@ package repro.walks
 
 import repro.SparkSpec
 import repro.core._
-import repro.expts.{Datasets, RunningExample}
+import repro.expts.RunningExample
 
 /** Front-end wiring of the RW/RS methods: walk budgets derived from the
   * paper's bounds when no override is given, overrides honored, and the
@@ -11,8 +11,6 @@ import repro.expts.{Datasets, RunningExample}
 class MethodsSpec extends SparkSpec {
 
   private lazy val inst = RunningExample.instance(spark)
-  private lazy val rnd = Datasets.instance(spark,
-    Datasets.Spec("tiny-methods", "tiny", 20, 70, 2, 0, 0, 521), t = 2)
 
   test("RW with no override derives lambda from Thm 10 (cumulative)") {
     // rho=0.9, delta=0.1 -> 150 walks per node; 4 nodes -> still instant.
@@ -48,21 +46,6 @@ class MethodsSpec extends SparkSpec {
     val exact = inst.targetScore(Cumulative, r.seeds)
     assert(math.abs(r.estScores.last - exact) < 0.15,
       s"estimate ${r.estScores.last} vs exact $exact")
-  }
-
-  test("heuristicTheta over real sketch estimates converges below the cap") {
-    val probe = Seq(1L)
-    def estimateAt(theta: Long): Double = {
-      val starts = WalkGen.sketchStarts(spark, rnd.n, theta, seed = 67)
-      val walks = WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd),
-        starts, rnd.t, 68)
-      val st = WalkGreedy.applyCover(WalkGen.annotate(walks, rnd, obsIsWalk = true), probe)
-      WalkGreedy.scoreEstimate(st, Cumulative, null, rnd.n.toDouble / theta)
-    }
-    val theta = Bounds.heuristicTheta(estimateAt, thetaStart = 256, thetaMax = 16384, tol = 0.05)
-    assert(theta <= 16384)
-    val exact = rnd.targetScore(Cumulative, probe)
-    assert(math.abs(estimateAt(theta) - exact) / exact < 0.25)
   }
 
   test("targetStubbornness extracts the target candidate's d column") {
