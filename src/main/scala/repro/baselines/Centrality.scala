@@ -14,11 +14,16 @@ import repro.core.{GraphOps, Instance}
   */
 object Centrality {
 
+  private def requireK(inst: Instance, k: Int): Unit =
+    require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
+
   /** Top-k nodes by weighted out-degree. */
-  def degree(inst: Instance, k: Int): Seq[Long] =
+  def degree(inst: Instance, k: Int): Seq[Long] = {
+    requireK(inst, k)
     GraphOps.weightedOutDegree(inst.edges.sparkSession, inst.edges, inst.n)
       .orderBy(col("outdeg").desc, col("node"))
       .limit(k).collect().map(_.getLong(0)).toSeq
+  }
 
   /** Out-normalized transition edges `(src, dst, p)`; dangling nodes keep
     * no out-probability (their mass is redistributed uniformly below).
@@ -51,6 +56,7 @@ object Centrality {
 
   /** Top-k nodes by PageRank (uniform restart). */
   def pageRank(inst: Instance, k: Int, c: Double = 0.85, iters: Int = 20): Seq[Long] = {
+    requireK(inst, k)
     val spark = inst.edges.sparkSession
     val trans = outNormalized(spark, inst.edges).localCheckpoint(true)
     val restart = spark.range(inst.n)
@@ -65,6 +71,7 @@ object Centrality {
     * resonates, as in [25]'s RWR baseline).
     */
   def rwr(inst: Instance, k: Int, c: Double = 0.85, iters: Int = 20): Seq[Long] = {
+    requireK(inst, k)
     val spark = inst.edges.sparkSession
     val trans = outNormalized(spark, inst.edges).localCheckpoint(true)
     val b0 = inst.profile.filter(col("cand") === inst.q).select(col("node"), col("b0"))

@@ -29,10 +29,7 @@ object GreedyDM {
     val scenDf = cands.toDF("scen")
     val targetOps = OpinionDiffusion.diffuseScenarios(
       inst.edges, inst.targetProfile(seeds), scenDf, inst.t)
-    score.byScenario(targetOps, inst.competitorOpinions())
-      .collect()
-      .map(row => row.getLong(0) -> row.getDouble(1))
-      .toMap
+    score.scenarioScores(targetOps, inst.competitorOpinions()).toMap
   }
 
   /** Heap entry: marginal-gain upper bound for `node`, computed in greedy

@@ -22,8 +22,8 @@ import scala.math.Ordering.Double.TotalOrdering
   *
   * Edges must be normalized ([[GraphOps.normalize]]), so every node has an
   * in-edge. A profile must hold exactly one row per node (and candidate),
-  * with node ids `0 until n` (and candidates `0 until r`); the kernels
-  * reject any other with an `IllegalArgumentException`.
+  * with node ids `0 until n` (and candidates `0 until r`) and `b0`, `d` in
+  * [0, 1]; the kernels reject any other with an `IllegalArgumentException`.
   */
 object OpinionDiffusion {
 
@@ -90,14 +90,16 @@ object OpinionDiffusion {
 
   /** Node-major `b0` and `d` arrays (entry `v * k + c`) from profile rows
     * `(node, c, b0, d)`, and the node count `n`. Every `(node, c)` in
-    * `0 until n` × `0 until k` must appear exactly once; `label` names a
-    * row in the error.
+    * `0 until n` × `0 until k` must appear exactly once, with `b0` and `d`
+    * in [0, 1]; `label` names a row in the error.
     */
   private def dense(rows: Array[(Long, Int, Double, Double)], k: Int,
                     label: (Long, Int) => String): (Int, Array[Double], Array[Double]) = {
     require(rows.nonEmpty, "empty profile")
-    rows.foreach { case (v, c, _, _) =>
+    rows.foreach { case (v, c, b0, d) =>
       require(v >= 0 && v < Int.MaxValue && c >= 0 && c < k, s"profile row ${label(v, c)} is out of range")
+      require(b0 >= 0 && b0 <= 1 && d >= 0 && d <= 1,
+        s"profile row ${label(v, c)} has b0=$b0, d=$d outside [0, 1]")
     }
     // The sorted keys of a complete profile are exactly 0 until n·k.
     val keys = rows.map { case (v, c, _, _) => v * k + c }.sorted

@@ -5,23 +5,51 @@ import org.apache.spark.sql.functions._
 
 /** The five voting-based scores of §II-B.
   *
-  * Every score is computed from horizon-`t` opinions. `byScenario`
-  * evaluates it per greedy scenario given scenario-vectorized target
-  * opinions `(scen, node, b)` and exact competitor opinions
+  * Every score is computed from horizon-`t` opinions, as a sum of per-voter
+  * [[VoteScore.terms]] into part totals followed by one [[VoteScore.finish]].
+  * `byScenario` evaluates it per greedy scenario given scenario-vectorized
+  * target opinions `(scen, node, b)` and exact competitor opinions
   * `(node, cand, b)` (restricted to `cand != target` by the caller);
-  * `exact` is its one-scenario case.
+  * `exact` is its one-scenario case. The walk estimators of RW and RS
+  * (`repro.walks.WalkGreedy`) sum the same terms over observations.
   */
 sealed trait VoteScore extends Serializable {
   def name: String
-  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame
+
+  /** Additive per-voter terms `(voter…, part, v)` of target opinions
+    * `target` `(voter…, node, b)` against competitor opinions `comp`
+    * `(node, cand, b)`; `voter` names the columns that identify one voter.
+    * The score is [[finish]] of the per-`part` sums of `v`. `comp` is only
+    * evaluated by scores that rank the target.
+    */
+  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame
+
+  /** The score given the per-part sums of [[terms]]. */
+  def finish(partTotals: Iterable[Double]): Double = partTotals.sum
+
+  /** Score of each scenario, ascending by scenario: the terms summed per
+    * `(scen, part)`, then [[finish]] per scenario.
+    */
+  private[core] def scenarioScores(targetOps: DataFrame, compOps: DataFrame): Seq[(Long, Double)] =
+    terms(targetOps, compOps, Seq("scen", "node"))
+      .groupBy("scen", "part").agg(sum("v")).collect()
+      .groupBy(_.getLong(0)).toSeq.sortBy(_._1)
+      .map { case (scen, rows) => (scen, finish(rows.map(_.getDouble(2)))) }
+
+  /** [[scenarioScores]] as a local DataFrame `(scen, score)`. */
+  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame = {
+    val spark = targetOps.sparkSession
+    import spark.implicits._
+    scenarioScores(targetOps, compOps).toDF("scen", "score")
+  }
 
   /** Score of candidate `cand` in the opinions `(node, cand, b)`: the
-    * candidate's own opinions are passed to [[byScenario]] as one scenario.
+    * candidate's own opinions are scored as one scenario.
     */
   def exact(ops: DataFrame, cand: Int): Double =
-    byScenario(ops.filter(col("cand") === cand).select(lit(0L).as("scen"), col("node"), col("b")),
+    scenarioScores(ops.filter(col("cand") === cand).select(lit(0L).as("scen"), col("node"), col("b")),
       ops.filter(col("cand") =!= cand))
-      .collect().headOption.fold(0.0)(_.getDouble(1))
+      .headOption.fold(0.0)(_._2)
 }
 
 object VoteScore {
@@ -38,13 +66,9 @@ object VoteScore {
     */
   private[repro] def rank: Column = (sum(when(col("bx") >= col("b"), 1).otherwise(0)) + 1).as("beta")
 
-  /** Per-user contribution of a positional-p-approval score given the
-    * user's rank column `beta` (1-based): `w[beta] * 1[beta <= p]`.
-    */
-  private[repro] def positionalContrib(beta: Column, p: Int, weights: Seq[Double]): Column = {
-    val wArr = array(weights.map(lit): _*)
-    when(beta <= p, element_at(wArr, beta.cast("int"))).otherwise(lit(0.0))
-  }
+  /** `voter…` columns followed by one part `0` and the term `v`. */
+  private[core] def onePart(voter: Seq[String], v: Column): Seq[Column] =
+    voter.map(col) ++ Seq(lit(0).as("part"), v.as("v"))
 
   /** All-ones weights used by plurality / p-approval. */
   private[repro] def onesWeights(r: Int): Seq[Double] = Seq.fill(r)(1.0)
@@ -54,12 +78,13 @@ object VoteScore {
 case object Cumulative extends VoteScore {
   val name = "cumulative"
 
-  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame =
-    targetOps.groupBy("scen").agg(sum("b").as("score"))
+  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame =
+    target.select(VoteScore.onePart(voter, col("b")): _*)
 }
 
 /** Positional-p-approval score (Eq 6); plurality (Eq 4) and p-approval
-  * (Eq 5) are the all-ones-weight special cases below.
+  * (Eq 5) are the all-ones-weight special cases below. A voter's term is
+  * `w[beta] * 1[beta <= p]` for the target's rank `beta`.
   */
 final case class PositionalPApproval(p: Int, weights: Seq[Double]) extends VoteScore {
   require(p >= 1, s"p must be >= 1, got $p")
@@ -70,11 +95,13 @@ final case class PositionalPApproval(p: Int, weights: Seq[Double]) extends VoteS
 
   val name = s"positional-$p-approval"
 
-  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame =
-    VoteScore.versus(targetOps, compOps)
-      .groupBy("scen", "node").agg(VoteScore.rank)
-      .groupBy("scen")
-      .agg(sum(VoteScore.positionalContrib(col("beta"), p, weights)).as("score"))
+  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame = {
+    val beta = col("beta")
+    VoteScore.versus(target, comp)
+      .groupBy(voter.map(col): _*).agg(VoteScore.rank)
+      .select(VoteScore.onePart(voter,
+        when(beta <= p, element_at(array(weights.map(lit): _*), beta.cast("int"))).otherwise(lit(0.0))): _*)
+  }
 }
 
 object Plurality {
@@ -95,22 +122,24 @@ object PApproval {
 final case class RestrictedCumulative(nodes: DataFrame, factor: Double) extends VoteScore {
   val name = "restricted-cumulative"
 
-  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame =
-    targetOps.join(nodes, Seq("node"))
-      .groupBy("scen").agg((sum("b") * factor).as("score"))
+  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame =
+    target.join(nodes, Seq("node")).select(VoteScore.onePart(voter, col("b")): _*)
+
+  override def finish(partTotals: Iterable[Double]): Double = factor * partTotals.sum
 }
 
 /** Copeland score (Eq 7): number of one-on-one competitions the candidate
-  * wins (strictly more users prefer it than prefer the opponent).
+  * wins (strictly more users prefer it than prefer the opponent). Part `x`
+  * sums each voter's `+1 / −1 / 0` for preferring the target to competitor
+  * `x` or the reverse; the target wins against `x` when that margin is
+  * positive.
   */
 case object Copeland extends VoteScore {
   val name = "copeland"
 
-  def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame =
-    VoteScore.versus(targetOps, compOps)
-      .groupBy("scen", "x")
-      .agg(sum(when(col("b") > col("bx"), 1).otherwise(0)).as("wins"),
-           sum(when(col("b") < col("bx"), 1).otherwise(0)).as("losses"))
-      .groupBy("scen")
-      .agg(sum(when(col("wins") > col("losses"), 1.0).otherwise(0.0)).as("score"))
+  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame =
+    VoteScore.versus(target, comp).select(voter.map(col) ++ Seq(col("x").as("part"),
+      when(col("b") > col("bx"), 1.0).when(col("b") < col("bx"), -1.0).otherwise(0.0).as("v")): _*)
+
+  override def finish(partTotals: Iterable[Double]): Double = partTotals.count(_ > 0).toDouble
 }

@@ -22,6 +22,8 @@ object Methods {
   def rw(inst: Instance, score: VoteScore, k: Int,
          rho: Double = 0.9, delta: Double = 0.1, seed: Long = 42,
          lambdaOverride: Option[Int] = None, lambdaCap: Int = 2000): WalkGreedy.Result = {
+    require(lambdaOverride.forall(_ >= 1) && lambdaCap >= 1,
+      s"walks per node must be >= 1, got override $lambdaOverride and cap $lambdaCap")
     val spark = inst.edges.sparkSession
     val lambdas = lambdaOverride match {
       case Some(lam) => spark.range(inst.n).select(col("id").as("node"), lit(lam).as("lam"))
@@ -45,6 +47,8 @@ object Methods {
   def rs(inst: Instance, score: VoteScore, k: Int,
          eps: Double = 0.1, l: Double = 1.0, seed: Long = 43,
          thetaOverride: Option[Long] = None, thetaCap: Long = 200000L): WalkGreedy.Result = {
+    require(thetaOverride.forall(_ >= 1) && thetaCap >= 1,
+      s"sketch count must be >= 1, got override $thetaOverride and cap $thetaCap")
     val spark = inst.edges.sparkSession
     val theta = thetaOverride.getOrElse {
       score match {

@@ -35,8 +35,7 @@ object WalkGreedy {
   /** Per-observation estimates `(obs, node, b, lam)` under the current
     * cover state, where `node` is the observation's start node and `b` the
     * average over its `lam` walks of (1 if covered else b0(end)) — the
-    * target opinion of that user, in the shape [[VoteScore.versus]] pairs
-    * with the competitors' opinions.
+    * target opinion of that user, in the shape [[VoteScore.terms]] reads.
     */
   private def estimates(state: DataFrame): DataFrame =
     state.groupBy(col("obs"), col("start").as("node")).agg(
@@ -44,116 +43,72 @@ object WalkGreedy {
       count(lit(1)).cast("double").as("lam"),
     )
 
-  /** `(w, obs, node, est, b)`: the estimate `b` each observation would move
-    * to from `est` if `w` were added as a seed (only observations with at
-    * least one uncovered walk through `w` appear).
+  /** `(w, obs, sgn, node, b)`: each observation with an uncovered walk
+    * through `w`, at the estimate `b` it would move to if `w` were added as
+    * a seed (`sgn = 1`) and at its current estimate (`sgn = -1`).
     */
-  private def deltas(state: DataFrame, est: DataFrame): DataFrame =
+  private def moves(state: DataFrame): DataFrame =
     state.filter(!col("covered"))
       .select(col("obs"), explode(array_distinct(col("path"))).as("w"),
         (lit(1.0) - col("b0end")).as("inc"))
       .groupBy("w", "obs").agg(sum("inc").as("dsum"))
-      .join(est, Seq("obs"))
-      .select(col("w"), col("obs"), col("node"), col("b").as("est"),
-        (col("b") + col("dsum") / col("lam")).as("b"))
+      .join(estimates(state), Seq("obs"))
+      .select(col("w"), col("obs"), col("node"), explode(array(
+        struct(lit(1.0).as("sgn"), (col("b") + col("dsum") / col("lam")).as("b")),
+        struct(lit(-1.0).as("sgn"), col("b")))).as("m"))
+      .select(col("w"), col("obs"), col("m.sgn").as("sgn"), col("node"), col("m.b").as("b"))
 
-  /** Per-observation positional contribution `(keys…, c)` of the estimates
-    * `b` in `ops` `(keys…, node, b)`.
+  /** Per-part sums `part -> Σ v` of the score's terms over the estimates. */
+  private def partTotals(state: DataFrame, score: VoteScore, compOps: => DataFrame): Map[Int, Double] =
+    score.terms(estimates(state), compOps, Seq("obs"))
+      .groupBy("part").agg(sum("v")).collect()
+      .map(r => r.getInt(0) -> r.getDouble(1)).toMap
+
+  /** The score's finish on the part totals scaled by `scale`. */
+  private def finishScaled(score: VoteScore, totals: Map[Int, Double], scale: Double): Double =
+    score.finish(totals.values.map(_ * scale))
+
+  /** Estimated target score of the current cover state: the score's finish
+    * on its part totals over the observations, scaled by `scale`.
+    * `compOps` is only evaluated by scores that rank the target.
     */
-  private def contributions(ops: DataFrame, s: PositionalPApproval, compOps: DataFrame,
-                            keys: String*): DataFrame =
-    VoteScore.versus(ops, compOps)
-      .groupBy(keys.map(col): _*).agg(VoteScore.rank)
-      .select(keys.map(col) :+ VoteScore.positionalContrib(col("beta"), s.p, s.weights).as("c"): _*)
-
-  /** Per-competitor one-on-one tallies `(x, wins, losses)` of the estimates. */
-  private def tallies(est: DataFrame, compOps: DataFrame): DataFrame =
-    VoteScore.versus(est, compOps)
-      .groupBy("x")
-      .agg(sum(when(col("b") > col("bx"), 1).otherwise(0)).as("wins"),
-           sum(when(col("b") < col("bx"), 1).otherwise(0)).as("losses"))
-
-  /** Estimated target score of the current cover state. */
-  def scoreEstimate(state: DataFrame, score: VoteScore, compOps: DataFrame,
-                    scale: Double): Double = {
-    val est = estimates(state)
-    score match {
-      case Cumulative =>
-        est.agg(sum("b")).head.getDouble(0) * scale
-      case s: PositionalPApproval =>
-        contributions(est, s, compOps, "obs").agg(sum("c")).head.getDouble(0) * scale
-      case Copeland =>
-        tallies(est, compOps).filter(col("wins") > col("losses")).count().toDouble
-      case other =>
-        throw new IllegalArgumentException(s"walk estimation not defined for ${other.name}")
-    }
-  }
+  def scoreEstimate(state: DataFrame, score: VoteScore, compOps: => DataFrame,
+                    scale: Double): Double =
+    finishScaled(score, partTotals(state, score, compOps), scale)
 
   /** Greedy selection of `k` seeds by maximum *estimated* marginal gain
     * (Alg 4 line 6 / Alg 5 line 6), truncating walks after each pick.
     *
-    * Every gain below is the exact change of [[scoreEstimate]] that adding
-    * `w` causes, so the estimate is computed once and then advanced by the
-    * picked gain. The gains stay per score: Copeland is not additive over
-    * observations, so it re-tallies each affected competition.
+    * The part totals of [[scoreEstimate]] are kept as a local map. Each round
+    * sums, for every candidate `w`, the change `Δw` in the part totals that
+    * adding `w` causes; the gain of `w` is the exact change of the estimate,
+    * `finish(scale·(base + Δw)) − finish(scale·base)`, and the picked `Δw`
+    * is added to the totals.
     */
   def select(inst: Instance, score: VoteScore, k: Int,
              annotatedWalks: DataFrame, scale: Double): Result = {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
-    val compOps = score match {
-      case Cumulative => null // cumulative never consults competitors
-      case _          => inst.competitorOpinions()
-    }
+    lazy val compOps = inst.competitorOpinions()
     var state = annotatedWalks
     var seeds = Vector.empty[Long]
     var ests = Vector.empty[Double]
-    var cur = scoreEstimate(state, score, compOps, scale)
+    var base = partTotals(state, score, compOps)
 
     for (_ <- 1 to k) {
-      val est = estimates(state).localCheckpoint(true)
-      val gainRows: Array[(Long, Double)] = score match {
-        case Cumulative =>
-          state.filter(!col("covered"))
-            .select(col("obs"), explode(array_distinct(col("path"))).as("w"),
-              (lit(1.0) - col("b0end")).as("inc"))
-            .join(est.select(col("obs"), col("lam")), Seq("obs"))
-            .groupBy("w").agg((sum(col("inc") / col("lam")) * scale).as("gain"))
-            .collect().map(r => (r.getLong(0), r.getDouble(1)))
-
-        case s: PositionalPApproval =>
-          val base = contributions(est, s, compOps, "obs")
-            .select(col("obs"), col("c").as("c0")).localCheckpoint(true)
-          contributions(deltas(state, est), s, compOps, "w", "obs")
-            .join(base, Seq("obs"))
-            .groupBy("w").agg((sum(col("c") - col("c0")) * scale).as("gain"))
-            .collect().map(r => (r.getLong(0), r.getDouble(1)))
-
-        case Copeland =>
-          val base = tallies(est, compOps).localCheckpoint(true)
-          VoteScore.versus(deltas(state, est), compOps)
-            .groupBy("w", "x")
-            .agg(sum(when(col("b") > col("bx"), 1).otherwise(0)
-                   - when(col("est") > col("bx"), 1).otherwise(0)).as("dw"),
-                 sum(when(col("b") < col("bx"), 1).otherwise(0)
-                   - when(col("est") < col("bx"), 1).otherwise(0)).as("dl"))
-            .join(base, Seq("x"))
-            .groupBy("w")
-            .agg((sum(when(col("wins") + col("dw") > col("losses") + col("dl"), 1.0)
-              .otherwise(0.0)) - lit(cur)).as("gain"))
-            .collect().map(r => (r.getLong(0), r.getDouble(1)))
-
-        case other =>
-          throw new IllegalArgumentException(s"walk greedy not defined for ${other.name}")
-      }
-
+      val change = score.terms(moves(state), compOps, Seq("w", "obs", "sgn"))
+        .groupBy("w", "part").agg(sum(col("sgn") * col("v"))).collect()
+        .groupBy(_.getLong(0)).map { case (w, rows) => w -> rows.map(r => r.getInt(1) -> r.getDouble(2)) }
+      def plus(delta: Iterable[(Int, Double)]) =
+        delta.foldLeft(base) { case (t, (part, v)) => t.updated(part, t.getOrElse(part, 0.0) + v) }
+      val cur = finishScaled(score, base, scale)
       // A node on no uncovered walk changes no estimate: its gain is 0.
-      val (pick, gain) = gainRows.filterNot { case (w, _) => seeds.contains(w) }
-        .minByOption { case (w, g) => (-g, w) }
-        .getOrElse(((0L until inst.n).filterNot(seeds.contains).head, 0.0))
+      val (pick, delta) = change.filterNot { case (w, _) => seeds.contains(w) }
+        .minByOption { case (w, delta) => (cur - finishScaled(score, plus(delta), scale), w) }
+        .getOrElse(((0L until inst.n).filterNot(seeds.contains).head, Array.empty[(Int, Double)]))
       seeds :+= pick
       state = applyCover(state, Seq(pick)).localCheckpoint(true)
-      cur += gain
-      ests :+= cur
+      base = plus(delta)
+      ests :+= finishScaled(score, base, scale)
     }
     Result(seeds, ests)
   }

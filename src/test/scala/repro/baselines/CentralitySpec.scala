@@ -69,4 +69,12 @@ class CentralitySpec extends SparkSpec {
     assert(Centrality.pageRank(rnd, 3).length == 3)
     assert(Centrality.rwr(rnd, 3).length == 3)
   }
+
+  test("every centrality baseline rejects k outside [1, n]") {
+    for (k <- Seq(0, rnd.n.toInt + 1)) {
+      intercept[IllegalArgumentException](Centrality.degree(rnd, k))
+      intercept[IllegalArgumentException](Centrality.pageRank(rnd, k))
+      intercept[IllegalArgumentException](Centrality.rwr(rnd, k))
+    }
+  }
 }

@@ -216,6 +216,19 @@ class OpinionDiffusionSpec extends SparkSpec {
     assert(e2.getMessage.contains("missing profile row (node=1)"))
   }
 
+  test("a profile row with b0 or d outside [0, 1] is rejected by name") {
+    val bad = inst.profile.withColumn("b0",
+      when(col("node") === 2 && col("cand") === 0, lit(1.5)).otherwise(col("b0")))
+    val e1 = intercept[IllegalArgumentException](OpinionDiffusion.diffuse(inst.edges, bad, 1))
+    assert(e1.getMessage.contains("profile row (node=2, cand=0) has b0=1.5"))
+    val target = inst.profile.filter(col("cand") === 0).select(col("node"), col("b0"),
+      when(col("node") === 3, lit(-0.1)).otherwise(col("d")).as("d"))
+    val e2 = intercept[IllegalArgumentException](
+      OpinionDiffusion.diffuseScenarios(inst.edges, target, Seq(1L).toDF("scen"), 1))
+    assert(e2.getMessage.contains("profile row (node=3) has b0="))
+    assert(e2.getMessage.contains("d=-0.1 outside [0, 1]"))
+  }
+
   test("diffuse runs at most t + 2 Spark jobs") {
     val (_, jobs) = JobCounter(spark)(OpinionDiffusion.diffuse(rnd.edges, rnd.profile, rnd.t))
     assert(jobs <= rnd.t + 2, s"$jobs jobs")

@@ -88,17 +88,23 @@ class ScoresSpec extends SparkSpec {
   }
 
   test("byScenario agrees with exact for every score") {
-    // Treat the exact target opinions as a single scenario.
+    // Scenario 7 holds the exact target opinions, scenario 8 other ones.
+    val other = Seq((0L, 0.1), (1L, 0.95), (2L, 0.6), (3L, 0.3)).toDF("node", "b")
+    val ops8 = ops.filter(col("cand") =!= 0)
+      .unionByName(other.select(col("node"), lit(0).as("cand"), col("b")))
     val targetOps = ops.filter(col("cand") === 0)
       .select(lit(7L).as("scen"), col("node"), col("b"))
+      .unionByName(other.select(lit(8L).as("scen"), col("node"), col("b")))
     val compOps = ops.filter(col("cand") =!= 0)
     val scores: Seq[VoteScore] = Seq(
       Cumulative, Plurality(3), PApproval(2, 3),
-      PositionalPApproval(2, Seq(1.0, 0.5, 0.0)), Copeland)
+      PositionalPApproval(2, Seq(1.0, 0.5, 0.0)), Copeland,
+      RestrictedCumulative(Seq(0L, 1L, 3L).toDF("node"), 0.5))
     for (s <- scores) {
       val bys = s.byScenario(targetOps, compOps).collect()
-      assert(bys.length == 1 && bys.head.getLong(0) == 7L)
-      assert(math.abs(bys.head.getDouble(1) - s.exact(ops, 0)) < 1e-12, s.name)
+      assert(bys.map(_.getLong(0)).toSeq == Seq(7L, 8L), s.name)
+      assert(math.abs(bys(0).getDouble(1) - s.exact(ops, 0)) < 1e-12, s.name)
+      assert(math.abs(bys(1).getDouble(1) - s.exact(ops8, 0)) < 1e-12, s.name)
     }
   }
 

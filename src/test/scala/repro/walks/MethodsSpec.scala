@@ -53,4 +53,11 @@ class MethodsSpec extends SparkSpec {
       .map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert(d == Map(0L -> 0.0, 1L -> 0.0, 2L -> 0.5, 3L -> 0.5))
   }
+
+  test("RW and RS reject fewer than one walk per node or sketch") {
+    intercept[IllegalArgumentException](Methods.rw(inst, Cumulative, 1, lambdaOverride = Some(0)))
+    intercept[IllegalArgumentException](Methods.rw(inst, Plurality(2), 1, lambdaCap = 0))
+    intercept[IllegalArgumentException](Methods.rs(inst, Cumulative, 1, thetaOverride = Some(0L)))
+    intercept[IllegalArgumentException](Methods.rs(inst, Plurality(2), 1, thetaCap = 0L))
+  }
 }

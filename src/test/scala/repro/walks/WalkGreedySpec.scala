@@ -64,8 +64,8 @@ class WalkGreedySpec extends SparkSpec {
     val walks = WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd), starts, rnd.t, 32)
     val state = WalkGen.annotate(walks, rnd, obsIsWalk)
     val r = WalkGreedy.select(rnd, score, 3, state, scale)
-    val comp = if (score == Cumulative) null else rnd.competitorOpinions()
-    val est = WalkGreedy.scoreEstimate(WalkGreedy.applyCover(state, r.seeds), score, comp, scale)
+    val est = WalkGreedy.scoreEstimate(WalkGreedy.applyCover(state, r.seeds), score,
+      rnd.competitorOpinions(), scale)
     assert(math.abs(r.estScores.last - est) < 1e-9, s"${score.name}: ${r.estScores.last} vs $est")
   }
 
@@ -74,13 +74,15 @@ class WalkGreedySpec extends SparkSpec {
   }
 
   test("RW plurality estimate trajectory ends at the estimator's value") {
-    assertTrajectoryEndsAtEstimate(Plurality(3), WalkGen.uniformStarts(spark, rnd.n, 30), false, 1.0)
+    for (score <- Seq(Plurality(3), Copeland))
+      assertTrajectoryEndsAtEstimate(score, WalkGen.uniformStarts(spark, rnd.n, 30), false, 1.0)
   }
 
   test("RS Copeland estimate trajectory ends at the estimator's value") {
     val theta = 1000L
-    assertTrajectoryEndsAtEstimate(Copeland, WalkGen.sketchStarts(spark, rnd.n, theta, 33),
-      true, rnd.n.toDouble / theta)
+    for (score <- Seq(Copeland, PositionalPApproval(2, Seq(1.0, 0.5, 0.0))))
+      assertTrajectoryEndsAtEstimate(score, WalkGen.sketchStarts(spark, rnd.n, theta, 33),
+        true, rnd.n.toDouble / theta)
   }
 
   test("RW cumulative seed quality approaches exact greedy (within 10%)") {
@@ -103,16 +105,19 @@ class WalkGreedySpec extends SparkSpec {
     assert(rnd.targetScore(Copeland, rw.seeds) >= f0 - 1e-9)
   }
 
-  test("walk greedy rejects unknown scores") {
-    import org.apache.spark.sql.functions.lit
-    val state = WalkGen.annotate(
-      WalkGen.generate(spark, inst.edges, Methods.targetStubbornness(inst),
-        WalkGen.uniformStarts(spark, inst.n, 2), inst.t, 1),
-      inst, obsIsWalk = false)
-    val fake = RestrictedCumulative(spark.range(1).toDF("node"), 1.0)
-    intercept[IllegalArgumentException] {
-      WalkGreedy.select(inst, fake, 1, state, 1.0)
-    }
+  test("the RW estimate of a restricted cumulative score is f times its nodes' estimates") {
+    import org.apache.spark.sql.functions._
+    val state = WalkGreedy.applyCover(WalkGen.annotate(
+      WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd),
+        WalkGen.uniformStarts(spark, rnd.n, 20), rnd.t, 34),
+      rnd, obsIsWalk = false), Seq(4L))
+    val nodes = Seq(1L, 4L, 7L, 12L)
+    val est = WalkGreedy.scoreEstimate(state,
+      RestrictedCumulative(spark.createDataFrame(nodes.map(Tuple1(_))).toDF("node"), 0.75), null, 1.0)
+    val perNode = state.filter(col("start").isin(nodes: _*)).groupBy("start")
+      .agg(avg(when(col("covered"), 1.0).otherwise(col("b0end")))).collect().map(_.getDouble(1))
+    assert(perNode.length == nodes.length)
+    assert(math.abs(est - 0.75 * perNode.sum) < 1e-12, s"$est vs ${0.75 * perNode.sum}")
   }
 
   test("k validation") {
