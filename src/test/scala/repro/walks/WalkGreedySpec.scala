@@ -105,7 +105,7 @@ class WalkGreedySpec extends SparkSpec {
     assert(rnd.targetScore(Copeland, rw.seeds) >= f0 - 1e-9)
   }
 
-  test("the RW estimate of a restricted cumulative score is f times its nodes' estimates") {
+  test("RW estimates a restricted cumulative score node by node") {
     import org.apache.spark.sql.functions._
     val state = WalkGreedy.applyCover(WalkGen.annotate(
       WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd),
