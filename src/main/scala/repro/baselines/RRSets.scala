@@ -1,8 +1,8 @@
 package repro.baselines
 
+import java.util.SplittableRandom
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
 import repro.core.{GraphOps, Instance}
 
 /** Classic-IM baseline ("IC"/"LT" + IMM in §VIII-A): reverse-reachable
@@ -24,33 +24,31 @@ object RRSets {
 
   /** θ uniform roots `(rr, node)`. */
   def sampleRoots(spark: SparkSession, n: Long, theta: Long, seed: Long): DataFrame =
-    spark.range(theta).select(
-      col("id").as("rr"),
-      (rand(seed) * n).cast(LongType).as("node"),
-    ).localCheckpoint(true)
+    GraphOps.uniformNodes(spark, n, theta, seed).toDF("rr", "node")
 
   /** IC RR sets `(rr, node)` (roots included). */
   def sampleIC(spark: SparkSession, edges: DataFrame, roots: DataFrame,
-               maxDepth: Int, seed: Long): DataFrame = {
-    val real = edges.filter(col("src") =!= col("dst")).localCheckpoint(true)
-    GraphOps.expand(roots, Seq("rr", "node"), maxDepth) { (frontier, depth) =>
-      frontier.join(real, frontier("node") === real("dst"))
-        .filter(rand(seed * 131 + depth) < col("w"))
-        .select(col("rr"), col("src").as("node")).distinct()
+               maxDepth: Int, seed: Long): DataFrame =
+    grow(edges, roots, seed) { (csr, root, rng) =>
+      GraphOps.reverseBfs(csr, root, maxDepth)(e => rng.nextDouble() < csr.w(e))
     }
-  }
 
-  /** LT RR sets `(rr, node)`: reverse paths, one in-neighbor per step. */
+  /** LT RR sets `(rr, node)`: reverse paths that end on an edge back to the
+    * path, a self-loop included.
+    */
   def sampleLT(spark: SparkSession, edges: DataFrame, roots: DataFrame,
-               maxDepth: Int, seed: Long): DataFrame = {
-    val cdf = GraphOps.inEdgeCdf(edges).localCheckpoint(true)
-    GraphOps.expand(roots, Seq("rr", "node"), maxDepth) { (frontier, depth) =>
-      val r = rand(seed * 137 + depth)
-      frontier.withColumn("r", r)
-        .join(cdf, frontier("node") === cdf("dst") &&
-                   col("r") >= cdf("lo") && col("r") < cdf("hi"))
-        .filter(cdf("src") =!= frontier("node")) // full-weight self-loop = stop
-        .select(col("rr"), cdf("src").as("node"))
+               maxDepth: Int, seed: Long): DataFrame =
+    grow(edges, roots, seed) { (csr, root, rng) =>
+      GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
+    }
+
+  /** The RR set of each root `(rr, node)`, grown with the draws of `rr`. */
+  private def grow(edges: DataFrame, roots: DataFrame, seed: Long)
+                  (set: (GraphOps.InCsr, Int, SplittableRandom) => Seq[Int]): DataFrame = {
+    import roots.sparkSession.implicits._
+    GraphOps.perRoot(GraphOps.inCsr(edges), roots.select(col("rr").cast("long"), col("node").cast("long")),
+      "rr", "node") { (csr, r) =>
+      set(csr, r.getLong(1).toInt, GraphOps.draws(seed, r.getLong(0))).iterator.map(v => (r.getLong(0), v.toLong))
     }
   }
 

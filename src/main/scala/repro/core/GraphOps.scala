@@ -1,8 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import java.util.SplittableRandom
+import org.apache.spark.sql.{DataFrame, Encoder, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Graph substrate for the paper's opinion-diffusion algorithms.
   *
@@ -41,51 +44,97 @@ object GraphOps {
     bad == 0 && covered == n
   }
 
-  /** Edge CDF for sampling one in-neighbor of each node proportionally to
-    * its weight: per destination node, in-edges get disjoint intervals
-    * `[lo, hi)` that tile `[0, 1)`. A uniform draw `r` selects the unique
-    * edge with `lo <= r < hi`.
+  /** In-edge CSR of normalized edges: node `v`'s in-edges are `in(v)`,
+    * sources `src` ascending, and edge `e` covers `[hi(e) − w(e), hi(e))`,
+    * so they tile `[0, 1)`.
     */
-  def inEdgeCdf(edges: DataFrame): DataFrame = {
-    val w = Window.partitionBy("dst").orderBy("src")
-    edges.select(
-      col("src"), col("dst"), col("w"),
-      (sum("w").over(w) - col("w")).as("lo"),
-      sum("w").over(w).as("hi"),
-    )
+  final case class InCsr(off: Array[Int], src: Array[Int], w: Array[Double], hi: Array[Double]) {
+    def in(v: Int): Range = off(v) until off(v + 1)
+
+    /** `v`'s in-edge whose interval holds `u`; past the last bound, the last. */
+    def pick(v: Int, u: Double): Int = {
+      val i = java.util.Arrays.binarySearch(hi, off(v), off(v + 1), u)
+      math.min(if (i >= 0) i + 1 else -i - 1, off(v + 1) - 1)
+    }
+  }
+
+  /** Collects `edges` into an [[InCsr]] over nodes `0` to the largest id. */
+  def inCsr(edges: DataFrame): InCsr = {
+    val es = edges.select(col("dst").cast("int"), col("src").cast("int"), col("w").cast("double"))
+      .collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))).sortBy(e => (e._1, e._2))
+    val byDst = es.groupBy(_._1)
+    val in = (0 until es.map(e => math.max(e._1, e._2) + 1).maxOption.getOrElse(0))
+      .map(byDst.getOrElse(_, Array.empty[(Int, Int, Double)]))
+    InCsr(in.scanLeft(0)(_ + _.length).toArray, es.map(_._2), es.map(_._3),
+      in.flatMap(_.map(_._3).scanLeft(0.0)(_ + _).tail).toArray)
+  }
+
+  /** The draws of walk, RR set or start `id`: every sampler draws from
+    * here, so a sample depends on `(seed, id)` only, not on partitioning.
+    */
+  def draws(seed: Long, id: Long): SplittableRandom = new SplittableRandom(XXH64.hashLong(id, seed))
+
+  /** Rows `(id, node)`, `id` in `0 until count`, `node` uniform in `0 until n`. */
+  def uniformNodes(spark: SparkSession, n: Long, count: Long, seed: Long): DataFrame = {
+    val node = udf((id: Long) => draws(seed, id).nextLong(n))
+    spark.range(count).select(col("id"), node(col("id")).as("node"))
+  }
+
+  /** Runs `visit` on each row of `roots` with `shared` broadcast, in one
+    * job; its output, named `cols`, is checkpointed before the broadcast goes.
+    */
+  def perRoot[S: ClassTag, T: ClassTag: Encoder](shared: S, roots: DataFrame, cols: String*)
+                                                (visit: (S, Row) => Iterator[T]): DataFrame = {
+    val bc = roots.sparkSession.sparkContext.broadcast(shared)
+    try roots.sparkSession.createDataset(roots.rdd.mapPartitions(_.flatMap(visit(bc.value, _))))
+      .toDF(cols: _*).localCheckpoint(true)
+    finally bc.destroy()
+  }
+
+  /** Nodes reaching `root` in at most `depth` hops over edges with `live`,
+    * root first; each in-edge of a newly reached node is tested once.
+    */
+  def reverseBfs(csr: InCsr, root: Int, depth: Int)(live: Int => Boolean): Seq[Int] = {
+    val seen = mutable.LinkedHashSet(root)
+    var frontier = Seq(root)
+    for (_ <- 1 to depth) // an empty frontier stays empty
+      frontier = for (v <- frontier; e <- csr.in(v) if live(e) && seen.add(csr.src(e))) yield csr.src(e)
+    seen.toSeq
+  }
+
+  /** The path of a reverse walk of at most `t` steps from `start`. At node
+    * `v` it stops with probability `stop(v)`, else takes the in-edge a
+    * uniform draw picks. A full-weight self-loop ends it, since that node's
+    * opinion is frozen (§II-A); a partial one stays put. With `simple`, an
+    * edge from a node on the path, the current one included, ends it too.
+    */
+  def reverseWalk(csr: InCsr, start: Int, t: Int, stop: Int => Double,
+                  rng: SplittableRandom, simple: Boolean): Seq[Int] = {
+    val path = mutable.ArrayBuffer(start)
+    var step = 0
+    while (step < t && rng.nextDouble() >= stop(path.last)) {
+      val e = csr.pick(path.last, rng.nextDouble())
+      val u = csr.src(e)
+      if (u == path.last && csr.w(e) >= 1.0 - 1e-12 || simple && path.contains(u)) step = t
+      else {
+        if (u != path.last) path += u
+        step += 1
+      }
+    }
+    path.toSeq
   }
 
   /** Nodes within at most `t` outgoing hops of each node: rows
     * `(root, node)` with `root` reaching `node` in <= t hops (self included
     * at hop 0). This is the per-seed reachable-users set `N_{{s}}^{(t)}`
-    * (Def 2) for every possible seed `s` at once. Self-loops added by
-    * [[normalize]] are harmless (they only re-reach the same node).
+    * (Def 2) for every possible seed `s` at once, from a reverse BFS of
+    * every `node`.
     */
-  def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame =
-    expand(spark.range(n).select(col("id").as("root"), col("id").as("node")), Seq("root", "node"), t) {
-      (frontier, _) =>
-        frontier.join(edges, frontier("node") === edges("src"))
-          .select(col("root"), col("dst").as("node"))
-          .distinct()
+  def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame = {
+    import spark.implicits._
+    perRoot(inCsr(edges), spark.range(n).toDF(), "root", "node") { (csr, r) =>
+      reverseBfs(csr, r.getLong(0).toInt, t)(_ => true).iterator.map(u => (u.toLong, r.getLong(0)))
     }
-
-  /** Bounded frontier expansion: starting from the rows `start`, each of at
-    * most `depth` steps maps the current frontier with `step(frontier, d)`
-    * (`d` = 1, 2, …) and keeps the rows not reached before, compared on the
-    * `key` columns. Returns every reached row. Each frontier is checkpointed
-    * eagerly, which cuts lineage and freezes any randomness `step` draws;
-    * the loop stops early once a frontier is empty.
-    */
-  def expand(start: DataFrame, key: Seq[String], depth: Int)
-            (step: (DataFrame, Int) => DataFrame): DataFrame = {
-    var reached = start
-    var frontier = start
-    for (d <- 1 to depth) {
-      frontier = step(frontier, d).join(reached, key, "left_anti").localCheckpoint(true)
-      if (frontier.isEmpty) return reached
-      reached = reached.unionByName(frontier).localCheckpoint(true)
-    }
-    reached
   }
 
   /** Greedy maximum coverage over `pairs` `(set, elem)`, whose two columns

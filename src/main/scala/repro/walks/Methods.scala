@@ -1,5 +1,6 @@
 package repro.walks
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core._
 
@@ -25,19 +26,12 @@ object Methods {
     require(lambdaOverride.forall(_ >= 1) && lambdaCap >= 1,
       s"walks per node must be >= 1, got override $lambdaOverride and cap $lambdaCap")
     val spark = inst.edges.sparkSession
-    val lambdas = lambdaOverride match {
-      case Some(lam) => spark.range(inst.n).select(col("id").as("node"), lit(lam).as("lam"))
-      case None => score match {
-        case Cumulative =>
-          val lam = math.min(lambdaCap, Bounds.lambdaCumulative(delta, rho))
-          spark.range(inst.n).select(col("id").as("node"), lit(lam).as("lam"))
-        case _ => Bounds.lambdaPerNode(inst, rho, lambdaCap = lambdaCap)
-      }
+    val starts = lambdaOverride.orElse(Option.when(score == Cumulative)(
+      math.min(lambdaCap, Bounds.lambdaCumulative(delta, rho)))) match {
+      case Some(lam) => WalkGen.uniformStarts(spark, inst.n, lam)
+      case None => WalkGen.startsPerNode(spark, Bounds.lambdaPerNode(inst, rho, lambdaCap = lambdaCap))
     }
-    val starts = WalkGen.startsPerNode(spark, lambdas)
-    val walks = WalkGen.generate(spark, inst.edges, targetStubbornness(inst), starts, inst.t, seed)
-    val annotated = WalkGen.annotate(walks, inst, obsIsWalk = false)
-    WalkGreedy.select(inst, score, k, annotated, scale = 1.0)
+    walkGreedy(inst, score, k, starts, seed, obsIsWalk = false, scale = 1.0)
   }
 
   /** RS seed selection. θ defaults to Eq 40 for the cumulative score and to
@@ -58,15 +52,20 @@ object Methods {
         case _ => thetaCap
       }
     }
-    val starts = WalkGen.sketchStarts(spark, inst.n, theta, seed)
-    val walks = WalkGen.generate(spark, inst.edges, targetStubbornness(inst), starts, inst.t, seed + 1)
-    val annotated = WalkGen.annotate(walks, inst, obsIsWalk = true)
-    WalkGreedy.select(inst, score, k, annotated, scale = inst.n.toDouble / theta)
+    walkGreedy(inst, score, k, WalkGen.sketchStarts(spark, inst.n, theta, seed), seed + 1,
+      obsIsWalk = true, scale = inst.n.toDouble / theta)
+  }
+
+  /** Walk greedy over one walk per row of `starts`. */
+  private def walkGreedy(inst: Instance, score: VoteScore, k: Int, starts: DataFrame, seed: Long,
+                         obsIsWalk: Boolean, scale: Double): WalkGreedy.Result = {
+    val walks = WalkGen.generate(inst.edges.sparkSession, inst.edges, targetStubbornness(inst), starts, inst.t, seed)
+    WalkGreedy.select(inst, score, k, WalkGen.annotate(walks, inst, obsIsWalk), scale)
   }
 
   /** Target candidate's stubbornness `(node, d)` with no seeds applied —
     * walk termination probabilities of Direct Generation (§V-A).
     */
-  def targetStubbornness(inst: Instance): org.apache.spark.sql.DataFrame =
+  def targetStubbornness(inst: Instance): DataFrame =
     inst.profile.filter(col("cand") === inst.q).select(col("node"), col("d"))
 }

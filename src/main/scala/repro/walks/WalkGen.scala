@@ -2,11 +2,10 @@ package repro.walks
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
 import repro.core.{GraphOps, Instance}
 
-/** t-step reverse random walks (Direct Generation, §V-A) as an iterative
-  * DataFrame job.
+/** t-step reverse random walks (Direct Generation, §V-A), each run to
+  * completion by [[GraphOps.reverseWalk]].
   *
   * A walk currently at `v` terminates there with probability `d_qv`
   * (stubbornness of the *seedless* profile — Post-Generation Truncation,
@@ -18,7 +17,8 @@ import repro.core.{GraphOps, Instance}
   * (truncation ends on a seed, whose initial opinion is 1), otherwise the
   * target's initial opinion of the end node.
   *
-  * Walk schema: `(wid, start, path: Array[Long], end)`.
+  * Walk schema: `(wid, start, path: Array[Long], end)`; walk `wid` draws
+  * from `GraphOps.draws(seed, wid)`.
   */
 object WalkGen {
 
@@ -29,57 +29,42 @@ object WalkGen {
     */
   def generate(spark: SparkSession, edges: DataFrame, targetStubbornness: DataFrame,
                starts: DataFrame, t: Int, seed: Long): DataFrame = {
-    val cdf = GraphOps.inEdgeCdf(edges).localCheckpoint(true)
-    val d = targetStubbornness.select(col("node"), col("d"))
-    var state = starts.select(
-      col("wid"), col("start"), col("start").as("cur"),
-      array(col("start")).as("path"), lit(false).as("done"),
-    ).localCheckpoint(true)
-
-    for (step <- 1 to t) {
-      val s1 = seed * 7919 + 2 * step
-      val s2 = seed * 7919 + 2 * step + 1
-      val decided = state.join(d, state("cur") === d("node"))
-        .select(col("wid"), col("start"), col("cur"), col("path"),
-          (col("done") || rand(s1) < col("d")).as("done"),
-          rand(s2).as("r2"))
-      val finished = decided.filter(col("done"))
-        .select(col("wid"), col("start"), col("cur"), col("path"), lit(true).as("done"))
-      val stepped = decided.filter(!col("done"))
-        .join(cdf, decided("cur") === cdf("dst") &&
-                   col("r2") >= cdf("lo") && col("r2") < cdf("hi"))
-        .select(col("wid"), col("start"),
-          cdf("src").as("cur"),
-          // A full-weight self-loop marks an in-degree-0 node: its opinion
-          // is frozen, so the walk is over (no need to append the repeat).
-          when(cdf("src") === decided("cur"), col("path"))
-            .otherwise(concat(col("path"), array(cdf("src")))).as("path"),
-          (cdf("src") === decided("cur") && cdf("w") >= 1.0 - 1e-12).as("done"))
-      state = finished.unionByName(stepped).localCheckpoint(true)
+    import spark.implicits._
+    val csr = GraphOps.inCsr(edges)
+    val d = new Array[Double](csr.off.length - 1)
+    targetStubbornness.select(col("node").cast("int"), col("d").cast("double")).collect()
+      .foreach(r => d(r.getInt(0)) = r.getDouble(1))
+    GraphOps.perRoot((csr, d), starts.select(col("wid").cast("long"), col("start").cast("long")),
+      "wid", "start", "path", "end") { case ((csr, d), r) =>
+      val path = GraphOps.reverseWalk(csr, r.getLong(1).toInt, t, d(_), GraphOps.draws(seed, r.getLong(0)),
+        simple = false)
+      Iterator((r.getLong(0), r.getLong(1), path.map(_.toLong), path.last.toLong))
     }
-    state.select(col("wid"), col("start"), col("path"), col("cur").as("end"))
   }
 
   /** RW starts: `lambda(v)` walk rows per node `v`. `lambdas` is
-    * `(node, lam)`; walk ids are unique.
+    * `(node, lam)`, each `lam >= 1`; walk `rep` of node `v` has id
+    * `v · 2^32 + rep`.
     */
-  def startsPerNode(spark: SparkSession, lambdas: DataFrame): DataFrame =
+  def startsPerNode(spark: SparkSession, lambdas: DataFrame): DataFrame = {
+    val lam = when(col("lam") >= 1, col("lam").cast("int")).otherwise(raise_error(
+      concat(lit("walk count lam must be >= 1, got "), col("lam"), lit(" for node "), col("node"))))
     lambdas
-      .select(col("node").as("start"), explode(sequence(lit(1), col("lam").cast("int"))).as("rep"))
-      .select(monotonically_increasing_id().as("wid"), col("start"))
+      .select(col("node").cast("long").as("start"), explode(sequence(lit(1), lam)).as("rep"))
+      .select((shiftleft(col("start"), 32) + col("rep")).as("wid"), col("start"))
+  }
 
   /** RW starts with a uniform walk count per node. */
-  def uniformStarts(spark: SparkSession, n: Long, lambda: Int): DataFrame =
+  def uniformStarts(spark: SparkSession, n: Long, lambda: Int): DataFrame = {
+    require(lambda >= 1, s"walk count lambda must be >= 1, got $lambda")
     startsPerNode(spark, spark.range(n).select(col("id").as("node"), lit(lambda).as("lam")))
+  }
 
   /** RS starts (Alg 5): `theta` start nodes sampled uniformly at random with
     * replacement; each sample is one observation with a single walk.
     */
   def sketchStarts(spark: SparkSession, n: Long, theta: Long, seed: Long): DataFrame =
-    spark.range(theta).select(
-      col("id").as("wid"),
-      (rand(seed) * n).cast(LongType).as("start"),
-    ).localCheckpoint(true)
+    GraphOps.uniformNodes(spark, n, theta, seed).toDF("wid", "start")
 
   /** Annotate generated walks with the target candidate's initial opinion of
     * each walk's end node, producing the greedy working set

@@ -47,24 +47,38 @@ class GraphOpsSpec extends SparkSpec {
     assert(!GraphOps.isColumnStochastic(raw, 5))
   }
 
+  // The in-edge CDF is `InCsr.hi`: edge `e` into `v` covers `[hi(e) − w(e), hi(e))`.
+  private def cdfBounds(csr: GraphOps.InCsr, v: Int): Seq[Double] = 0.0 +: csr.in(v).map(csr.hi)
+
   test("inEdgeCdf tiles [0,1) per destination") {
-    val cdf = GraphOps.inEdgeCdf(edges)
-    val byDst = cdf.collect().groupBy(_.getLong(1))
-    byDst.foreach { case (_, rows) =>
-      val sorted = rows.sortBy(_.getDouble(3))
-      assert(math.abs(sorted.head.getDouble(3)) < 1e-12)           // first lo = 0
-      assert(math.abs(sorted.last.getDouble(4) - 1.0) < 1e-12)     // last hi = 1
-      sorted.sliding(2).foreach {
-        case Array(a, b) => assert(math.abs(a.getDouble(4) - b.getDouble(3)) < 1e-12)
-        case _           =>
-      }
+    val csr = GraphOps.inCsr(edges)
+    for (v <- 0 until 5) {
+      val bounds = cdfBounds(csr, v)
+      assert(bounds.length > 1)                                     // every node has an in-edge
+      bounds.sliding(2).foreach { case Seq(lo, hi) => assert(lo < hi) }
+      assert(math.abs(bounds.last - 1.0) < 1e-12)                   // last hi = 1
     }
   }
 
   test("inEdgeCdf intervals have width equal to the edge weight") {
-    val bad = GraphOps.inEdgeCdf(edges)
-      .filter(abs(col("hi") - col("lo") - col("w")) > 1e-12).count()
-    assert(bad == 0)
+    val csr = GraphOps.inCsr(edges)
+    for (v <- 0 until 5; (e, i) <- csr.in(v).zipWithIndex) {
+      val bounds = cdfBounds(csr, v)
+      assert(math.abs(bounds(i + 1) - bounds(i) - csr.w(e)) < 1e-12)
+    }
+  }
+
+  test("inCsr holds each edge once, sources ascending; pick finds the interval of a draw") {
+    val csr = GraphOps.inCsr(edges)
+    val rows = for (v <- 0 until 5; e <- csr.in(v)) yield (csr.src(e).toLong, v.toLong, csr.w(e))
+    assert(rows.sorted == edges.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq.sorted)
+    for (v <- 0 until 5) {
+      val in = csr.in(v)
+      assert(in.map(csr.src) == in.map(csr.src).sorted)
+      val bounds = cdfBounds(csr, v)
+      in.indices.foreach(i => assert(csr.pick(v, bounds(i)) == in(i)))
+      assert(csr.pick(v, bounds.last) == in.last && csr.pick(v, 1.0) == in.last)
+    }
   }
 
   test("reachWithin at t=0 is the identity relation") {

@@ -1,0 +1,131 @@
+package repro.core
+
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+import repro.{JobCounter, SparkSpec}
+import repro.baselines.RRSets
+import repro.expts.RunningExample
+import repro.walks.{Methods, WalkGen}
+
+/** The per-root traversal kernel behind reverse walks, RR sets and t-hop
+  * reach: results independent of partitioning, sampling frequencies that
+  * match exact enumeration, reach that matches a plain forward BFS, and a
+  * fixed number of Spark jobs whatever the horizon.
+  */
+class TraversalSpec extends SparkSpec {
+  import spark.implicits._
+
+  /** A fixed random instance, n = 30, built without any Spark randomness. */
+  private lazy val rnd: Instance = {
+    val rng = new scala.util.Random(5)
+    val raw = Seq.fill(120)((rng.nextInt(30).toLong, rng.nextInt(30).toLong, 0.05 + rng.nextDouble()))
+      .filter(e => e._1 != e._2).toDF("src", "dst", "w")
+    val profile = (for (v <- 0L until 30L; c <- 0 until 2) yield (v, c, rng.nextDouble(), rng.nextDouble()))
+      .toDF("node", "cand", "b0", "d")
+    Instance(GraphOps.normalize(spark, raw, 30).localCheckpoint(true), profile.localCheckpoint(true),
+      30, 2, 0, 4)
+  }
+
+  private def fingerprint(df: DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
+
+  /** Every sampler's output, with starts, roots and edges in `parts`
+    * partitions and `shuffle` shuffle partitions.
+    */
+  private def samples(parts: Int, shuffle: Int): Seq[Seq[String]] = {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    spark.conf.set(key, shuffle.toLong)
+    try {
+      val d = Methods.targetStubbornness(rnd)
+      val rw = WalkGen.uniformStarts(spark, rnd.n, 3).repartition(parts)
+      val rs = WalkGen.sketchStarts(spark, rnd.n, 200, 3).repartition(parts)
+      val roots = RRSets.sampleRoots(spark, rnd.n, 200, 4).repartition(parts)
+      val edges = rnd.edges.repartition(parts)
+      Seq(WalkGen.generate(spark, edges, d, rw, 4, 5), WalkGen.generate(spark, edges, d, rs, 4, 6), rs, roots,
+        RRSets.sampleIC(spark, edges, roots, 3, 7), RRSets.sampleLT(spark, edges, roots, 3, 8),
+        GraphOps.reachWithin(spark, edges, rnd.n, 3)).map(fingerprint)
+    } finally spark.conf.set(key, saved)
+  }
+
+  test("walks, RR sets and reach do not depend on partitioning") {
+    assert(samples(1, 4) == samples(7, 64))
+  }
+
+  test("a uniform start or root depends on its id only") {
+    def prefix(df: DataFrame) = fingerprint(df.filter(col(df.columns.head) < 100))
+    assert(prefix(WalkGen.sketchStarts(spark, 30, 100, 3)) == prefix(WalkGen.sketchStarts(spark, 30, 900, 3)))
+    assert(prefix(RRSets.sampleRoots(spark, 30, 100, 4)) == prefix(RRSets.sampleRoots(spark, 30, 900, 4)))
+  }
+
+  test("IC and LT RR-set inclusion frequencies match exact enumeration") {
+    // Node 2 has a partial self-loop; node 4 has no in-edges, so it gets a full one.
+    val raw = Seq((1L, 0L, 1.0), (2L, 0L, 2.0), (0L, 1L, 1.0), (3L, 1L, 1.0), (1L, 2L, 1.0), (2L, 2L, 1.0),
+      (4L, 3L, 1.0), (2L, 3L, 1.0)).toDF("src", "dst", "w")
+    val edges = GraphOps.normalize(spark, raw, 5).localCheckpoint(true)
+    val es = edges.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getDouble(2))).sorted
+    assert(es.length <= 12)
+    val (root, depth, theta) = (0, 3, 20000)
+
+    // IC: every live-edge world, reverse BFS from the root to `depth`.
+    val ic = new Array[Double](5)
+    for (world <- 0 until 1 << es.length) {
+      val isLive = es.indices.map(i => (world >> i & 1) == 1)
+      val p = es.indices.map(i => if (isLive(i)) es(i)._3 else 1 - es(i)._3).product
+      val live = es.indices.filter(isLive).map(es)
+      var reached = Set(root)
+      var frontier = Set(root)
+      for (_ <- 1 to depth) {
+        frontier = live.filter(e => frontier(e._2)).map(_._1).toSet -- reached
+        reached ++= frontier
+      }
+      reached.foreach(ic(_) += p)
+    }
+    // LT: every reverse path, ending at a revisit (self-loops included) or
+    // a full self-loop, or after `depth` steps.
+    val lt = new Array[Double](5)
+    def walk(path: Vector[Int], p: Double): Unit =
+      if (path.length > depth) path.foreach(lt(_) += p)
+      else es.filter(_._2 == path.last).foreach { case (u, _, w) =>
+        if (path.contains(u)) path.foreach(lt(_) += p * w) else walk(path :+ u, p * w)
+      }
+    walk(Vector(root), 1.0)
+
+    val roots = (0 until theta).map(i => (i.toLong, root.toLong)).toDF("rr", "node")
+    for ((name, rr, exact) <- Seq(("IC", RRSets.sampleIC(spark, edges, roots, depth, 9), ic),
+                                  ("LT", RRSets.sampleLT(spark, edges, roots, depth, 10), lt))) {
+      val counts = rr.groupBy("node").count().collect().map(r => r.getLong(0).toInt -> r.getLong(1)).toMap
+      for (v <- 0 until 5) {
+        val (freq, p) = (counts.getOrElse(v, 0L).toDouble / theta, exact(v))
+        val tol = 4 * math.sqrt(p * (1 - p) / theta) + 1e-9
+        assert(math.abs(freq - p) <= tol, s"$name node $v: frequency $freq vs exact $p")
+      }
+    }
+  }
+
+  test("reachWithin equals a forward BFS for t = 0 to 4") {
+    val chain = GraphOps.normalize(spark,
+      Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 3L, 1.0)).toDF("src", "dst", "w"), 4).localCheckpoint(true)
+    for ((edges, n) <- Seq((RunningExample.instance(spark).edges, 4L), (chain, 4L), (rnd.edges, rnd.n))) {
+      val out = edges.collect().map(r => (r.getLong(0), r.getLong(1))).groupMap(_._1)(_._2)
+      var reach = (0L until n).map(v => (v, v)).toSet
+      for (t <- 0 to 4) {
+        val got = GraphOps.reachWithin(spark, edges, n, t).collect().map(r => (r.getLong(0), r.getLong(1)))
+        assert(got.length == reach.size && got.toSet == reach, s"t=$t")
+        reach ++= reach.flatMap { case (root, v) => out.getOrElse(v, Array.empty[Long]).map(root -> _) }
+      }
+    }
+  }
+
+  test("walks, RR sets and reach run at most 3 Spark jobs at t = 1 and t = 8") {
+    val starts = WalkGen.uniformStarts(spark, rnd.n, 2).localCheckpoint(true)
+    val roots = RRSets.sampleRoots(spark, rnd.n, 100, 1).localCheckpoint(true)
+    for (t <- Seq(1, 8)) {
+      val jobs = Seq(
+        JobCounter(spark)(WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd), starts, t, 1))._2,
+        JobCounter(spark)(GraphOps.reachWithin(spark, rnd.edges, rnd.n, t))._2,
+        JobCounter(spark)(RRSets.sampleIC(spark, rnd.edges, roots, t, 2))._2,
+        JobCounter(spark)(RRSets.sampleLT(spark, rnd.edges, roots, t, 3))._2)
+      assert(jobs.forall(_ <= 3), s"t=$t: jobs of generate, reachWithin, sampleIC, sampleLT = $jobs")
+    }
+  }
+}

@@ -83,6 +83,16 @@ class WalkGenSpec extends SparkSpec {
     assert(a != b)
   }
 
+  test("walk counts below 1 are rejected by name") {
+    for (lam <- Seq(0, -1)) {
+      val e1 = intercept[IllegalArgumentException](WalkGen.uniformStarts(spark, 4, lam))
+      assert(e1.getMessage.contains(s"walk count lambda must be >= 1, got $lam"))
+      val lams = spark.range(4).select(col("id").as("node"), lit(lam).as("lam"))
+      val e2 = intercept[Exception](WalkGen.startsPerNode(spark, lams).collect())
+      assert(e2.getMessage.contains(s"walk count lam must be >= 1, got $lam for node"), e2.getMessage)
+    }
+  }
+
   test("sketchStarts samples theta uniform starts within range") {
     val s = WalkGen.sketchStarts(spark, rnd.n, 500, 3)
     assert(s.count() == 500)
