@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import scala.collection.mutable
 
 /** Greedy seed selection with exact opinion computation ("DM" in the paper;
@@ -9,7 +8,8 @@ import scala.collection.mutable
   *
   * Marginal gains for one greedy round are evaluated with a single
   * scenario-vectorized diffusion ([[OpinionDiffusion.diffuseScenarios]])
-  * instead of one diffusion per candidate seed.
+  * instead of one diffusion per candidate seed; each scenario is scored on
+  * the driver.
   */
 object GreedyDM {
 
@@ -24,12 +24,12 @@ object GreedyDM {
   /** Evaluate `F(S ∪ {w})` for every scenario `w` in `cands`. */
   private def scenarioScores(inst: Instance, score: VoteScore, seeds: Seq[Long],
                              cands: Seq[Long]): Map[Long, Double] = {
-    val spark = inst.edges.sparkSession
-    import spark.implicits._
-    val scenDf = cands.toDF("scen")
-    val targetOps = OpinionDiffusion.diffuseScenarios(
-      inst.edges, inst.targetProfile(seeds), scenDf, inst.t)
-    score.scenarioScores(targetOps, inst.competitorOpinions()).toMap
+    val (b0, d) = inst.targetDense(seeds)
+    val scen = cands.toArray
+    val ops = OpinionDiffusion.scenarioOpinions(inst.edges, b0, d, scen, inst.t)
+    scen.indices.map { j =>
+      scen(j) -> inst.targetScoreOf(score, Array.tabulate(b0.length)(v => ops(v * scen.length + j)))
+    }.toMap
   }
 
   /** Heap entry: marginal-gain upper bound for `node`, computed in greedy

@@ -6,28 +6,79 @@ import org.apache.spark.sql.functions._
 /** One FJ-Vote problem instance (Problem 1 inputs minus `k`):
   * normalized edges, per-candidate node profile `(node, cand, b0, d)`,
   * node count `n`, candidate count `r`, target candidate `q`, horizon `t`.
+  *
+  * The profile is collected and checked once, on first use, into dense
+  * arrays ([[OpinionDiffusion.Dense]]); seeded diffusions pin their seeds
+  * on those arrays and diffuse the target alone, since diffusion is
+  * independent per candidate (§II-A) and `q`'s seeds leave the competitors'
+  * opinions at the seedless horizon. Scores are summed on the driver from
+  * the opinions the diffusion collects. A copy of the instance collects and
+  * diffuses its own.
   */
 final case class Instance(edges: DataFrame, profile: DataFrame,
                           n: Long, r: Int, q: Int, t: Int) {
   require(r > 1, s"the paper assumes r > 1 candidates, got $r")
   require(q >= 0 && q < r, s"target candidate $q out of range [0,$r)")
 
-  /** The seedless horizon: exact opinions `(node, cand, b)` of every
-    * candidate at `t` with no seeds, diffused once, on first use, and held
-    * as the local DataFrame [[OpinionDiffusion.diffuse]] returns. A copy of
-    * the instance diffuses its own.
-    */
-  private lazy val horizon: DataFrame = OpinionDiffusion.diffuse(edges, profile, t)
+  private lazy val dense = OpinionDiffusion.Dense(profile)
 
-  /** Exact horizon-`t` opinions of every candidate with `seeds` for `q`. */
-  def opinions(seeds: Seq[Long] = Nil): DataFrame =
+  /** The seedless horizon: exact opinions of every candidate at `t` with no
+    * seeds, node-major (entry `v * r + c`), diffused once, on first use.
+    */
+  private lazy val horizon: Array[Double] = OpinionDiffusion.advance(edges, dense.b0, dense.d, dense.k, t)
+
+  /** [[horizon]] as a local DataFrame `(node, cand, b)`. */
+  private lazy val horizonFrame: DataFrame = OpinionDiffusion.frame(edges.sparkSession, horizon, dense.k)
+
+  /** Competitor opinions at the horizon: for each node, its opinions of the
+    * candidates other than `q`, in ascending candidate order.
+    */
+  private[repro] lazy val competitors: Array[Array[Double]] =
+    Array.tabulate(dense.n)(v => (0 until dense.k).filter(_ != q).map(c => horizon(v * dense.k + c)).toArray)
+
+  /** The target's opinions at the horizon with `seeds`, one per node. */
+  private[repro] def targetOpinions(seeds: Seq[Long]): Array[Double] =
+    if (seeds.isEmpty) Array.tabulate(dense.n)(v => horizon(v * dense.k + q))
+    else {
+      val (b0, d) = targetDense(seeds)
+      OpinionDiffusion.advance(edges, b0, d, 1, t)
+    }
+
+  /** The target's `b0` and `d`, one per node, with `seeds` pinned to 1. */
+  private[core] def targetDense(seeds: Seq[Long]): (Array[Double], Array[Double]) = {
+    val b0 = Array.tabulate(dense.n)(v => dense.b0(v * dense.k + q))
+    val d = Array.tabulate(dense.n)(v => dense.d(v * dense.k + q))
+    seeds.filter(s => s >= 0 && s < dense.n).foreach { s => b0(s.toInt) = 1.0; d(s.toInt) = 1.0 }
+    (b0, d)
+  }
+
+  /** Node-major opinions of every candidate at the horizon with `seeds`
+    * for `q`.
+    */
+  private def table(seeds: Seq[Long]): Array[Double] =
     if (seeds.isEmpty) horizon
-    else OpinionDiffusion.diffuse(edges, OpinionDiffusion.applySeeds(profile, q, seeds), t)
+    else {
+      val ops = horizon.clone()
+      targetOpinions(seeds).zipWithIndex.foreach { case (b, v) => ops(v * dense.k + q) = b }
+      ops
+    }
+
+  /** `score` of the target opinions `b` (one per node) against the
+    * competitors' horizon opinions.
+    */
+  private[repro] def targetScoreOf(score: VoteScore, b: Array[Double]): Double =
+    score.total(Array.tabulate(b.length)(_.toLong), b, competitors)
+
+  /** Exact horizon-`t` opinions `(node, cand, b)` of every candidate with
+    * `seeds` for `q`, as a local DataFrame.
+    */
+  def opinions(seeds: Seq[Long] = Nil): DataFrame =
+    if (seeds.isEmpty) horizonFrame else OpinionDiffusion.frame(edges.sparkSession, table(seeds), dense.k)
 
   /** Exact competitor opinions at the horizon; `q`'s seeds do not change
     * them, since diffusion is independent per candidate (§II-A).
     */
-  def competitorOpinions(): DataFrame = horizon.filter(col("cand") =!= q)
+  def competitorOpinions(): DataFrame = horizonFrame.filter(col("cand") =!= q)
 
   /** Target candidate's profile `(node, b0, d)` with `seeds` applied. */
   def targetProfile(seeds: Seq[Long]): DataFrame =
@@ -36,15 +87,15 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
       .select("node", "b0", "d")
 
   /** Exact target score at the horizon given `seeds`. */
-  def targetScore(score: VoteScore, seeds: Seq[Long]): Double =
-    score.exact(opinions(seeds), q)
+  def targetScore(score: VoteScore, seeds: Seq[Long]): Double = targetScoreOf(score, targetOpinions(seeds))
 
   /** Problem 2 winning test: target's score strictly exceeds every
-    * competitor's score at the horizon (Eq 9).
+    * competitor's score at the horizon (Eq 9). Every candidate is scored
+    * from one opinion table.
     */
   def wins(score: VoteScore, seeds: Seq[Long]): Boolean = {
-    val ops = opinions(seeds)
-    val tgt = score.exact(ops, q)
-    (0 until r).filter(_ != q).forall(c => tgt > score.exact(ops, c))
+    val ops = table(seeds)
+    val tgt = score.ofTable(ops, dense.k, q)
+    (0 until dense.k).filter(_ != q).forall(c => tgt > score.ofTable(ops, dense.k, c))
   }
 }

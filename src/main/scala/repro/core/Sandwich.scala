@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Sandwich approximation (Algorithm 3, §IV) for the non-submodular scores.
   *
@@ -28,14 +27,17 @@ object Sandwich {
 
   /** Favorable users set `Vq` (Def 1): users ranking the target within the
     * top `p` at the horizon with `seeds` for the target (the sandwich uses
-    * none). Single-column `(node)`.
+    * none), that is, with a positive p-approval term. Single-column `(node)`,
+    * a local DataFrame.
     */
-  def favorableUsers(inst: Instance, p: Int, seeds: Seq[Long] = Nil): DataFrame =
-    VoteScore.versus(inst.opinions(seeds).filter(col("cand") === inst.q).select("node", "b"),
-      inst.competitorOpinions())
-      .groupBy("node").agg(VoteScore.rank)
-      .filter(col("beta") <= p)
-      .select("node")
+  def favorableUsers(inst: Instance, p: Int, seeds: Seq[Long] = Nil): DataFrame = {
+    val spark = inst.edges.sparkSession
+    import spark.implicits._
+    val approval = PApproval(p, inst.r)
+    val b = inst.targetOpinions(seeds)
+    b.indices.filter(v => approval.voterTerms(v, b(v), inst.competitors(v)).exists(_._2 > 0))
+      .map(_.toLong).toDF("node")
+  }
 
   /** Weakly favorable users set `Uq` (Def 5): users preferring the target to
     * at least one other candidate at the horizon with no seeds — those not
@@ -58,7 +60,7 @@ object Sandwich {
 
   /** Algorithm 3 for a plurality-variant score. */
   def run(inst: Instance, score: PositionalPApproval, k: Int): Result = {
-    val vq = favorableUsers(inst, score.p).localCheckpoint(true)
+    val vq = favorableUsers(inst, score.p)
     val omega1 = score.weights.head
     val omegaP = score.weights(score.p - 1)
     val (sU, ubU) = coverageGreedy(inst, vq, k, omega1)
@@ -71,7 +73,7 @@ object Sandwich {
 
   /** Algorithm 3 for the Copeland score (upper bound only, §IV-C). */
   def runCopeland(inst: Instance, k: Int): Result = {
-    val uq = weaklyFavorableUsers(inst).localCheckpoint(true)
+    val uq = weaklyFavorableUsers(inst)
     val factor = (inst.r - 1).toDouble / (inst.n / 2 + 1).toDouble
     val (sU, ubU) = coverageGreedy(inst, uq, k, factor)
     val sF = GreedyDM.select(inst, Copeland, k).seeds

@@ -1,74 +1,107 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
 /** The five voting-based scores of §II-B.
   *
   * Every score is computed from horizon-`t` opinions, as a sum of per-voter
-  * [[VoteScore.terms]] into part totals followed by one [[VoteScore.finish]].
-  * `byScenario` evaluates it per greedy scenario given scenario-vectorized
-  * target opinions `(scen, node, b)` and exact competitor opinions
-  * `(node, cand, b)` (restricted to `cand != target` by the caller);
-  * `exact` is its one-scenario case. The walk estimators of RW and RS
-  * (`repro.walks.WalkGreedy`) sum the same terms over observations.
+  * [[VoteScore.voterTerms]] into part totals followed by one
+  * [[VoteScore.finish]]. A voter is one user, with an opinion of the target
+  * and opinions of the competitors. Exact scores are summed on the driver,
+  * voters in ascending node order, over the opinions the FJ kernels
+  * collect: `exact` scores one candidate of an opinion table, `byScenario`
+  * every scenario of scenario-vectorized target opinions `(scen, node, b)`
+  * against exact competitor opinions `(node, cand, b)` (restricted to
+  * `cand != target` by the caller). The walk estimators of RW and RS
+  * (`repro.walks.WalkGreedy`) apply the same terms to their observations.
   */
 sealed trait VoteScore extends Serializable {
   def name: String
 
-  /** Additive per-voter terms `(voter…, part, v)` of target opinions
-    * `target` `(voter…, node, b)` against competitor opinions `comp`
-    * `(node, cand, b)`; `voter` names the columns that identify one voter.
-    * The score is [[finish]] of the per-`part` sums of `v`. `comp` is only
-    * evaluated by scores that rank the target.
+  /** Whether a voter's terms depend on how the voter ranks the target, that
+    * is, read the competitors' opinions. The cumulative scores' terms do
+    * not, so their callers never compute those opinions.
     */
-  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame
+  def ranked: Boolean = true
 
-  /** The score given the per-part sums of [[terms]]. */
+  /** Additive terms `(part, v)` of one voter: user `node`, whose opinion of
+    * the target is `b` and of the competitors `comp`, in ascending
+    * candidate order (empty for a score that is not [[ranked]]). The score
+    * is [[finish]] of the per-`part` sums of `v` over all voters.
+    */
+  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)]
+
+  /** The score given the per-part sums of [[voterTerms]]. */
   def finish(partTotals: Iterable[Double]): Double = partTotals.sum
 
-  /** Score of each scenario, ascending by scenario: the terms summed per
-    * `(scen, part)`, then [[finish]] per scenario.
+  /** [[finish]] of the part totals of voters `nodes` with target opinions
+    * `b` and competitor opinions `comp`, summed in the given voter order.
+    * `comp` is only evaluated by ranked scores.
     */
-  private[core] def scenarioScores(targetOps: DataFrame, compOps: DataFrame): Seq[(Long, Double)] =
-    terms(targetOps, compOps, Seq("scen", "node"))
-      .groupBy("scen", "part").agg(sum("v")).collect()
-      .groupBy(_.getLong(0)).toSeq.sortBy(_._1)
-      .map { case (scen, rows) => (scen, finish(rows.map(_.getDouble(2)))) }
+  private[repro] def total(nodes: Array[Long], b: Array[Double], comp: => Array[Array[Double]]): Double = {
+    val c = if (ranked) comp else null
+    val totals = mutable.TreeMap.empty[Int, Double]
+    for (i <- nodes.indices; (part, v) <- voterTerms(nodes(i), b(i), if (c == null) Array.emptyDoubleArray else c(i)))
+      totals(part) = totals.getOrElse(part, 0.0) + v
+    finish(totals.values)
+  }
 
-  /** [[scenarioScores]] as a local DataFrame `(scen, score)`. */
+  /** Score of candidate `cand` in node-major opinions `ops` (entry
+    * `v * r + c`) of `r` candidates.
+    */
+  private[repro] def ofTable(ops: Array[Double], r: Int, cand: Int): Double = {
+    val n = ops.length / r
+    total(Array.tabulate(n)(_.toLong), Array.tabulate(n)(v => ops(v * r + cand)),
+      Array.tabulate(n)(v => (0 until r).filter(_ != cand).map(x => ops(v * r + x)).toArray))
+  }
+
+  /** Score of each scenario, as a local DataFrame `(scen, score)` ascending
+    * by scenario.
+    */
   def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame = {
     val spark = targetOps.sparkSession
     import spark.implicits._
-    scenarioScores(targetOps, compOps).toDF("scen", "score")
+    lazy val comp = VoteScore.competitorsByNode(compOps)
+    targetOps.select(col("scen").cast("long"), col("node").cast("long"), col("b").cast("double")).collect()
+      .map(r => (r.getLong(0), (r.getLong(1), r.getDouble(2))))
+      .groupBy(_._1).toSeq.sortBy(_._1)
+      .map { case (scen, rows) => scen -> VoteScore.ofVoters(this, rows.map(_._2), comp) }
+      .toDF("scen", "score")
   }
 
-  /** Score of candidate `cand` in the opinions `(node, cand, b)`: the
-    * candidate's own opinions are scored as one scenario.
-    */
-  def exact(ops: DataFrame, cand: Int): Double =
-    scenarioScores(ops.filter(col("cand") === cand).select(lit(0L).as("scen"), col("node"), col("b")),
-      ops.filter(col("cand") =!= cand))
-      .headOption.fold(0.0)(_._2)
+  /** Score of candidate `cand` in the opinions `(node, cand, b)`. */
+  def exact(ops: DataFrame, cand: Int): Double = {
+    val (target, others) = VoteScore.rows(ops).partition(_._2 == cand)
+    VoteScore.ofVoters(this, target.map(r => (r._1, r._3)), VoteScore.byNode(others))
+  }
 }
 
 object VoteScore {
-  /** Pairs each user's target opinion with their opinion of every
-    * competitor: `target` `(…, node, b)` joined on `node` to `comp`
-    * `(node, cand, b)` gives one row `(…, node, b, x, bx)` per competitor `x`.
-    */
-  private[repro] def versus(target: DataFrame, comp: DataFrame): DataFrame =
-    target.join(comp.select(col("node"), col("cand").as("x"), col("b").as("bx")), Seq("node"))
+  /** Rows `(node, cand, b)` of an opinion DataFrame, collected. */
+  private def rows(ops: DataFrame): Array[(Long, Int, Double)] =
+    ops.select(col("node").cast("long"), col("cand").cast("int"), col("b").cast("double")).collect()
+      .map(r => (r.getLong(0), r.getInt(1), r.getDouble(2)))
 
-  /** Rank `beta` of the target over one user's [[versus]] rows: 1 + number
-    * of competitors whose opinion is >= the target's (§II-B) — `beta = 1`
-    * means strictly top.
-    */
-  private[repro] def rank: Column = (sum(when(col("bx") >= col("b"), 1).otherwise(0)) + 1).as("beta")
+  /** Each node's opinions in ascending candidate order. */
+  private def byNode(rows: Array[(Long, Int, Double)]): Map[Long, Array[Double]] =
+    rows.groupBy(_._1).map { case (v, rs) => v -> rs.sortBy(_._2).map(_._3) }
 
-  /** `voter…` columns followed by one part `0` and the term `v`. */
-  private[core] def onePart(voter: Seq[String], v: Column): Seq[Column] =
-    voter.map(col) ++ Seq(lit(0).as("part"), v.as("v"))
+  /** Competitor opinions `(node, cand, b)`, collected: each node's opinions
+    * in ascending candidate order.
+    */
+  private[repro] def competitorsByNode(compOps: DataFrame): Map[Long, Array[Double]] = byNode(rows(compOps))
+
+  /** `score` of voters `(node, b)` in ascending node order, against the
+    * competitor opinions `comp` of each node.
+    */
+  private def ofVoters(score: VoteScore, voters: Array[(Long, Double)], comp: => Map[Long, Array[Double]]): Double = {
+    val sorted = voters.sortBy(_._1)
+    lazy val byNode = comp
+    score.total(sorted.map(_._1), sorted.map(_._2),
+      sorted.map(v => byNode.getOrElse(v._1, Array.emptyDoubleArray)))
+  }
 
   /** All-ones weights used by plurality / p-approval. */
   private[repro] def onesWeights(r: Int): Seq[Double] = Seq.fill(r)(1.0)
@@ -78,13 +111,16 @@ object VoteScore {
 case object Cumulative extends VoteScore {
   val name = "cumulative"
 
-  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame =
-    target.select(VoteScore.onePart(voter, col("b")): _*)
+  override def ranked: Boolean = false
+
+  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)] = Seq((0, b))
 }
 
 /** Positional-p-approval score (Eq 6); plurality (Eq 4) and p-approval
   * (Eq 5) are the all-ones-weight special cases below. A voter's term is
-  * `w[beta] * 1[beta <= p]` for the target's rank `beta`.
+  * `w[beta] * 1[beta <= p]` for the target's rank `beta`: 1 + the number of
+  * competitors whose opinion is >= the target's, so `beta = 1` means
+  * strictly top.
   */
 final case class PositionalPApproval(p: Int, weights: Seq[Double]) extends VoteScore {
   require(p >= 1, s"p must be >= 1, got $p")
@@ -95,12 +131,11 @@ final case class PositionalPApproval(p: Int, weights: Seq[Double]) extends VoteS
 
   val name = s"positional-$p-approval"
 
-  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame = {
-    val beta = col("beta")
-    VoteScore.versus(target, comp)
-      .groupBy(voter.map(col): _*).agg(VoteScore.rank)
-      .select(VoteScore.onePart(voter,
-        when(beta <= p, element_at(array(weights.map(lit): _*), beta.cast("int"))).otherwise(lit(0.0))): _*)
+  private val w = weights.toArray
+
+  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)] = {
+    val beta = 1 + comp.count(_ >= b)
+    Seq((0, if (beta <= p && beta <= w.length) w(beta - 1) else 0.0))
   }
 }
 
@@ -117,29 +152,33 @@ object PApproval {
 /** Cumulative opinion restricted to a node subset, times a constant —
   * the sandwich lower-bound objective of Def 3:
   * `LB(S) = w[p] * sum_{v in favorable} b_qv[S]`. Submodular (Thm 5), so
-  * the plain greedy is (1-1/e)-approximate for it.
+  * the plain greedy is (1-1/e)-approximate for it. The node set `(node)` is
+  * collected when the score is built.
   */
-final case class RestrictedCumulative(nodes: DataFrame, factor: Double) extends VoteScore {
+final case class RestrictedCumulative(@transient nodes: DataFrame, factor: Double) extends VoteScore {
   val name = "restricted-cumulative"
 
-  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame =
-    target.join(nodes, Seq("node")).select(VoteScore.onePart(voter, col("b")): _*)
+  private val members: Set[Long] = nodes.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet
+
+  override def ranked: Boolean = false
+
+  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)] =
+    if (members(node)) Seq((0, b)) else Nil
 
   override def finish(partTotals: Iterable[Double]): Double = factor * partTotals.sum
 }
 
 /** Copeland score (Eq 7): number of one-on-one competitions the candidate
-  * wins (strictly more users prefer it than prefer the opponent). Part `x`
-  * sums each voter's `+1 / −1 / 0` for preferring the target to competitor
-  * `x` or the reverse; the target wins against `x` when that margin is
-  * positive.
+  * wins (strictly more users prefer it than prefer the opponent). Part `j`
+  * is the `j`-th competitor: it sums each voter's `+1 / −1 / 0` for
+  * preferring the target to that competitor or the reverse; the target
+  * wins against it when that margin is positive.
   */
 case object Copeland extends VoteScore {
   val name = "copeland"
 
-  def terms(target: DataFrame, comp: => DataFrame, voter: Seq[String]): DataFrame =
-    VoteScore.versus(target, comp).select(voter.map(col) ++ Seq(col("x").as("part"),
-      when(col("b") > col("bx"), 1.0).when(col("b") < col("bx"), -1.0).otherwise(0.0).as("v")): _*)
+  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)] =
+    comp.indices.map(j => (j, if (b > comp(j)) 1.0 else if (b < comp(j)) -1.0 else 0.0))
 
   override def finish(partTotals: Iterable[Double]): Double = partTotals.count(_ > 0).toDouble
 }

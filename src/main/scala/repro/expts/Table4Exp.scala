@@ -39,8 +39,8 @@ object Table4Exp {
     val seeds = Methods.rw(inst, Plurality(2), k, seed = seed + 3,
       lambdaOverride = Some(lambda)).seeds
     // Users voting for the target: those ranking it strictly top (p = 1).
-    val before = Sandwich.favorableUsers(inst, 1).localCheckpoint(true)
-    val after = Sandwich.favorableUsers(inst, 1, seeds).localCheckpoint(true)
+    val before = Sandwich.favorableUsers(inst, 1)
+    val after = Sandwich.favorableUsers(inst, 1, seeds)
 
     // Switched users and the domain each top-10 seed influences the most:
     // switched users within the seed's t-hop reach, grouped by domain.

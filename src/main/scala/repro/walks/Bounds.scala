@@ -1,8 +1,7 @@
 package repro.walks
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.{Cumulative, Instance, VoteScore}
+import repro.core.{Cumulative, Instance}
 
 /** Walk-count bounds of §V-C and §VI.
   *
@@ -40,17 +39,19 @@ object Bounds {
     * sets; we substitute the ∅-seed gap floored at `gammaFloor` and cap the
     * resulting λ at `lambdaCap` — smaller γ would only demand *more* walks,
     * and the cap bounds the walk budget like the paper's α-start heuristic.
-    * Rows `(node, lam)`.
+    * Rows `(node, lam)`, a local DataFrame computed on the driver from the
+    * instance's horizon.
     */
   def lambdaPerNode(inst: Instance, rho: Double,
                     gammaFloor: Double = 0.05, lambdaCap: Int = 2000): DataFrame = {
+    val spark = inst.edges.sparkSession
+    import spark.implicits._
     val c = math.log(2.0 / (1.0 - rho)) / 2.0
-    VoteScore.versus(inst.opinions(Nil).filter(col("cand") === inst.q).select("node", "b"),
-      inst.competitorOpinions())
-      .groupBy("node")
-      .agg(greatest(min(abs(col("bx") - col("b"))), lit(gammaFloor)).as("gamma"))
-      .select(col("node"),
-        least(lit(lambdaCap), ceil(lit(c) / (col("gamma") * col("gamma")))).as("lam"))
+    val b = inst.targetOpinions(Nil)
+    b.indices.map { v =>
+      val gamma = math.max(inst.competitors(v).map(x => math.abs(x - b(v))).min, gammaFloor)
+      (v.toLong, math.min(lambdaCap.toLong, math.ceil(c / (gamma * gamma)).toLong))
+    }.toDF("node", "lam")
   }
 
   /** ln C(n, k) via a log-sum (exact, no overflow). */

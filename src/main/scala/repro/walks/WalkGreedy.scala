@@ -1,6 +1,8 @@
 package repro.walks
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core._
 
@@ -19,7 +21,9 @@ import repro.core._
   * walk whose path contains `w` would jump from `b0(end)` to 1.
   *
   * Ranking-based scores additionally use the competitors' exact horizon
-  * opinions, computed once by direct matrix-vector multiplication (§V-B).
+  * opinions, computed once by direct matrix-vector multiplication (§V-B)
+  * and broadcast to the executors, which apply each score's
+  * [[VoteScore.voterTerms]] to the observations.
   */
 object WalkGreedy {
 
@@ -35,7 +39,7 @@ object WalkGreedy {
   /** Per-observation estimates `(obs, node, b, lam)` under the current
     * cover state, where `node` is the observation's start node and `b` the
     * average over its `lam` walks of (1 if covered else b0(end)) — the
-    * target opinion of that user, in the shape [[VoteScore.terms]] reads.
+    * target opinion of that user, one voter of [[VoteScore.voterTerms]].
     */
   private def estimates(state: DataFrame): DataFrame =
     state.groupBy(col("obs"), col("start").as("node")).agg(
@@ -58,11 +62,35 @@ object WalkGreedy {
         struct(lit(-1.0).as("sgn"), col("b")))).as("m"))
       .select(col("w"), col("obs"), col("m.sgn").as("sgn"), col("node"), col("m.b").as("b"))
 
+  /** Competitor opinions of a node, broadcast to the executors; `None` for
+    * a score that is not ranked, which never reads them.
+    */
+  private type Competitors = Option[Broadcast[Long => Array[Double]]]
+
+  /** `body` given the competitor opinions `comp` broadcast, if `score` is
+    * ranked; the broadcast is destroyed afterwards.
+    */
+  private def withCompetitors[A](sc: SparkContext, score: VoteScore, comp: => Long => Array[Double])
+                                (body: Competitors => A): A = {
+    val bc = Option.when(score.ranked)(sc.broadcast(comp))
+    try body(bc) finally bc.foreach(_.destroy())
+  }
+
+  /** Sums `key -> part -> Σ sgn·v` of the score's voter terms over `rows`,
+    * one voter `(node, b)` per row.
+    */
+  private def termSums(rows: DataFrame, key: Column, sgn: Column, score: VoteScore,
+                       comp: Competitors): Map[Long, Map[Int, Double]] = {
+    val terms = udf((node: Long, b: Double) =>
+      score.voterTerms(node, b, comp.fold(Array.emptyDoubleArray)(_.value(node))))
+    rows.select(key.as("key"), sgn.as("sgn"), explode(terms(col("node"), col("b"))).as("t"))
+      .groupBy(col("key"), col("t._1")).agg(sum(col("sgn") * col("t._2"))).collect()
+      .groupBy(_.getLong(0)).map { case (key, rs) => key -> rs.map(r => r.getInt(1) -> r.getDouble(2)).toMap }
+  }
+
   /** Per-part sums `part -> Σ v` of the score's terms over the estimates. */
-  private def partTotals(state: DataFrame, score: VoteScore, compOps: => DataFrame): Map[Int, Double] =
-    score.terms(estimates(state), compOps, Seq("obs"))
-      .groupBy("part").agg(sum("v")).collect()
-      .map(r => r.getInt(0) -> r.getDouble(1)).toMap
+  private def partTotals(state: DataFrame, score: VoteScore, comp: Competitors): Map[Int, Double] =
+    termSums(estimates(state), lit(0L), lit(1.0), score, comp).getOrElse(0L, Map.empty)
 
   /** The score's finish on the part totals scaled by `scale`. */
   private def finishScaled(score: VoteScore, totals: Map[Int, Double], scale: Double): Double =
@@ -70,11 +98,14 @@ object WalkGreedy {
 
   /** Estimated target score of the current cover state: the score's finish
     * on its part totals over the observations, scaled by `scale`.
-    * `compOps` is only evaluated by scores that rank the target.
+    * `compOps` `(node, cand, b)` is only evaluated by ranked scores.
     */
   def scoreEstimate(state: DataFrame, score: VoteScore, compOps: => DataFrame,
                     scale: Double): Double =
-    finishScaled(score, partTotals(state, score, compOps), scale)
+    withCompetitors(state.sparkSession.sparkContext, score, {
+      val byNode = VoteScore.competitorsByNode(compOps)
+      v => byNode.getOrElse(v, Array.emptyDoubleArray)
+    })(comp => finishScaled(score, partTotals(state, score, comp), scale))
 
   /** Greedy selection of `k` seeds by maximum *estimated* marginal gain
     * (Alg 4 line 6 / Alg 5 line 6), truncating walks after each pick.
@@ -88,28 +119,30 @@ object WalkGreedy {
   def select(inst: Instance, score: VoteScore, k: Int,
              annotatedWalks: DataFrame, scale: Double): Result = {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
-    lazy val compOps = inst.competitorOpinions()
-    var state = annotatedWalks
-    var seeds = Vector.empty[Long]
-    var ests = Vector.empty[Double]
-    var base = partTotals(state, score, compOps)
+    withCompetitors(inst.edges.sparkSession.sparkContext, score, {
+      val competitors = inst.competitors
+      v => competitors(v.toInt)
+    }) { comp =>
+      var state = annotatedWalks
+      var seeds = Vector.empty[Long]
+      var ests = Vector.empty[Double]
+      var base = partTotals(state, score, comp)
 
-    for (_ <- 1 to k) {
-      val change = score.terms(moves(state), compOps, Seq("w", "obs", "sgn"))
-        .groupBy("w", "part").agg(sum(col("sgn") * col("v"))).collect()
-        .groupBy(_.getLong(0)).map { case (w, rows) => w -> rows.map(r => r.getInt(1) -> r.getDouble(2)) }
-      def plus(delta: Iterable[(Int, Double)]) =
-        delta.foldLeft(base) { case (t, (part, v)) => t.updated(part, t.getOrElse(part, 0.0) + v) }
-      val cur = finishScaled(score, base, scale)
-      // A node on no uncovered walk changes no estimate: its gain is 0.
-      val (pick, delta) = change.filterNot { case (w, _) => seeds.contains(w) }
-        .minByOption { case (w, delta) => (cur - finishScaled(score, plus(delta), scale), w) }
-        .getOrElse(((0L until inst.n).filterNot(seeds.contains).head, Array.empty[(Int, Double)]))
-      seeds :+= pick
-      state = applyCover(state, Seq(pick)).localCheckpoint(true)
-      base = plus(delta)
-      ests :+= finishScaled(score, base, scale)
+      for (_ <- 1 to k) {
+        val change = termSums(moves(state), col("w"), col("sgn"), score, comp)
+        def plus(delta: Iterable[(Int, Double)]) =
+          delta.foldLeft(base) { case (t, (part, v)) => t.updated(part, t.getOrElse(part, 0.0) + v) }
+        val cur = finishScaled(score, base, scale)
+        // A node on no uncovered walk changes no estimate: its gain is 0.
+        val (pick, delta) = change.filterNot { case (w, _) => seeds.contains(w) }
+          .minByOption { case (w, delta) => (cur - finishScaled(score, plus(delta), scale), w) }
+          .getOrElse(((0L until inst.n).filterNot(seeds.contains).head, Map.empty[Int, Double]))
+        seeds :+= pick
+        state = applyCover(state, Seq(pick)).localCheckpoint(true)
+        base = plus(delta)
+        ests :+= finishScaled(score, base, scale)
+      }
+      Result(seeds, ests)
     }
-    Result(seeds, ests)
   }
 }

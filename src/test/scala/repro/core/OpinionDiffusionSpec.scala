@@ -229,6 +229,17 @@ class OpinionDiffusionSpec extends SparkSpec {
     assert(e2.getMessage.contains("d=-0.1 outside [0, 1]"))
   }
 
+  test("edges that are not column-stochastic are rejected by name") {
+    // The running example's edges with node 2's in-weights summing to 0.75.
+    val skewed = Seq((0L, 2L, 0.5), (1L, 2L, 0.25), (2L, 3L, 1.0), (0L, 0L, 1.0), (1L, 1L, 1.0))
+      .toDF("src", "dst", "w")
+    val e1 = intercept[IllegalArgumentException](OpinionDiffusion.diffuse(skewed, inst.profile, 1))
+    assert(e1.getMessage.contains("in-edge weights of node 2 sum to 0.75"))
+    val e2 = intercept[IllegalArgumentException](
+      OpinionDiffusion.diffuseScenarios(skewed, inst.targetProfile(Nil), Seq(1L).toDF("scen"), 1))
+    assert(e2.getMessage.contains("in-edge weights of node 2 sum to 0.75"))
+  }
+
   test("diffuse runs at most t + 2 Spark jobs") {
     val (_, jobs) = JobCounter(spark)(OpinionDiffusion.diffuse(rnd.edges, rnd.profile, rnd.t))
     assert(jobs <= rnd.t + 2, s"$jobs jobs")

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{JobCounter, Oracle, SparkSpec}
+import repro.expts.Datasets
 
 class ScoresSpec extends SparkSpec {
   import spark.implicits._
@@ -140,5 +142,106 @@ class ScoresSpec extends SparkSpec {
         |  GROUP BY x.cand
         |) WHERE wins > losses""".stripMargin,
       "ops" -> ops)
+  }
+
+  // A random instance with r = 3 and t = 4 for the checks against the
+  // replaced DataFrame score algebra (test-scope `JoinScores`).
+  private lazy val rnd = Datasets.instance(spark,
+    Datasets.Spec("ref", "ref", 40, 200, 3, 0, 0, 307), t = 4)
+
+  /** The six scores, the restricted cumulative one over `nodes`. */
+  private def allScores(nodes: Seq[Long]): Seq[VoteScore] = Seq(
+    Cumulative, Plurality(3), PApproval(2, 3), PositionalPApproval(2, Seq(1.0, 0.5, 0.0)), Copeland,
+    RestrictedCumulative(nodes.toDF("node"), 0.5))
+
+  /** Every candidate's `exact` score and every scenario's `byScenario`
+    * score agree with the DataFrame reference within 1e-12.
+    */
+  private def assertMatchesReference(ops: DataFrame, targetOps: DataFrame, compOps: DataFrame,
+                                     scores: Seq[VoteScore]): Unit = {
+    val cands = ops.select("cand").distinct().collect().map(_.getInt(0)).sorted
+    for (s <- scores) {
+      for (c <- cands) {
+        val (got, want) = (s.exact(ops, c), JoinScores.exact(s, ops, c))
+        assert(math.abs(got - want) < 1e-12, s"${s.name} cand $c: $got vs $want")
+      }
+      val got = s.byScenario(targetOps, compOps).collect().map(r => (r.getLong(0), r.getDouble(1))).toSeq
+      val want = JoinScores.scenarioScores(s, targetOps, compOps)
+      assert(got.map(_._1) == want.map(_._1), s.name)
+      got.zip(want).foreach { case ((scen, g), (_, w)) =>
+        assert(math.abs(g - w) < 1e-12, s"${s.name} scenario $scen: $g vs $w")
+      }
+    }
+  }
+
+  test("exact and byScenario match the replaced DataFrame scores on a random instance") {
+    val seeds = Seq(3L, 17L)
+    val targetOps = OpinionDiffusion.diffuseScenarios(rnd.edges, rnd.targetProfile(seeds),
+      (0L until rnd.n).toDF("scen"), rnd.t)
+    assertMatchesReference(rnd.opinions(seeds), targetOps, rnd.competitorOpinions(),
+      allScores(0L until rnd.n by 3))
+  }
+
+  test("exact and byScenario match the replaced DataFrame scores on exact ties") {
+    // b == bx for some voters and competitors: rank counts a tie against
+    // the target, Copeland scores it 0.
+    val tied = Seq(
+      (0L, 0, 0.5), (0L, 1, 0.5), (0L, 2, 0.5),
+      (1L, 0, 0.7), (1L, 1, 0.7), (1L, 2, 0.2),
+      (2L, 0, 0.3), (2L, 1, 0.6), (2L, 2, 0.3),
+      (3L, 0, 0.9), (3L, 1, 0.9), (3L, 2, 0.9),
+      (4L, 0, 0.4), (4L, 1, 0.1), (4L, 2, 0.4),
+    ).toDF("node", "cand", "b")
+    val targetOps = tied.filter(col("cand") === 0).select(lit(1L).as("scen"), col("node"), col("b"))
+      .unionByName(tied.filter(col("cand") === 1).select(lit(2L).as("scen"), col("node"), col("b")))
+    assertMatchesReference(tied, targetOps, tied.filter(col("cand") =!= 0), allScores(Seq(0L, 2L, 3L)))
+  }
+
+  test("exact, byScenario and wins are bit-identical across edge and shuffle partitioning") {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val scores = allScores(0L until rnd.n by 3)
+    def run(edgeParts: Int, shuffleParts: Int) = {
+      spark.conf.set(key, shuffleParts.toLong)
+      val inst = rnd.copy(edges = rnd.edges.repartition(edgeParts))
+      val ops = inst.opinions(Seq(5L))
+      val targetOps = OpinionDiffusion.diffuseScenarios(inst.edges, inst.targetProfile(Seq(5L)),
+        (0L until inst.n).toDF("scen"), inst.t)
+      scores.map { s =>
+        ((0 until inst.r).map(c => s.exact(ops, c)),
+          s.byScenario(targetOps, inst.competitorOpinions()).collect().toSeq,
+          Seq(Nil, Seq(5L), Seq(5L, 11L, 30L)).map(inst.wins(s, _)))
+      }
+    }
+    try assert(run(1, 4) == run(7, 64))
+    finally spark.conf.set(key, saved)
+  }
+
+  test("exact and byScenario on local DataFrames run no Spark job") {
+    val local = Seq(
+      (0L, 0, 0.9), (0L, 1, 0.5), (0L, 2, 0.1),
+      (1L, 0, 0.5), (1L, 1, 0.9), (1L, 2, 0.1),
+    ).toDF("node", "cand", "b")
+    val targetOps = local.filter(col("cand") === 0).select(lit(0L).as("scen"), col("node"), col("b"))
+    for (s <- allScores(Seq(1L))) {
+      val (_, jobs) = JobCounter(spark) {
+        (0 to 2).foreach(c => s.exact(local, c))
+        s.byScenario(targetOps, local.filter(col("cand") =!= 0)).collect()
+      }
+      assert(jobs == 0, s"${s.name}: $jobs jobs")
+    }
+  }
+
+  test("targetScore and wins run no job without seeds and at most t with seeds") {
+    val inst = rnd.copy(t = 3)
+    inst.opinions(Nil) // diffuse the seedless horizon outside the counts
+    for (s <- allScores(0L until rnd.n by 3)) {
+      for ((seeds, most) <- Seq(Nil -> 0, Seq(2L, 9L) -> inst.t)) {
+        val (_, scoreJobs) = JobCounter(spark)(inst.targetScore(s, seeds))
+        val (_, winJobs) = JobCounter(spark)(inst.wins(s, seeds))
+        assert(scoreJobs <= most && winJobs <= most,
+          s"${s.name} seeds $seeds: targetScore $scoreJobs, wins $winJobs jobs")
+      }
+    }
   }
 }
