@@ -29,24 +29,27 @@ object RRSets {
   /** IC RR sets `(rr, node)` (roots included). */
   def sampleIC(spark: SparkSession, edges: DataFrame, roots: DataFrame,
                maxDepth: Int, seed: Long): DataFrame =
-    grow(edges, roots, seed) { (csr, root, rng) =>
-      GraphOps.reverseBfs(csr, root, maxDepth)(e => rng.nextDouble() < csr.w(e))
-    }
+    sample(GraphOps.inCsr(edges), "ic", roots, maxDepth, seed)
 
   /** LT RR sets `(rr, node)`: reverse paths that end on an edge back to the
     * path, a self-loop included.
     */
   def sampleLT(spark: SparkSession, edges: DataFrame, roots: DataFrame,
                maxDepth: Int, seed: Long): DataFrame =
-    grow(edges, roots, seed) { (csr, root, rng) =>
-      GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
-    }
+    sample(GraphOps.inCsr(edges), "lt", roots, maxDepth, seed)
 
-  /** The RR set of each root `(rr, node)`, grown with the draws of `rr`. */
-  private def grow(edges: DataFrame, roots: DataFrame, seed: Long)
-                  (set: (GraphOps.InCsr, Int, SplittableRandom) => Seq[Int]): DataFrame = {
+  /** The RR set `(rr, node)` under `model` of each root, grown over the
+    * in-edges `csr` with the draws of `rr`.
+    */
+  private def sample(csr: GraphOps.InCsr, model: String, roots: DataFrame,
+                     maxDepth: Int, seed: Long): DataFrame = {
     import roots.sparkSession.implicits._
-    GraphOps.perRoot(GraphOps.inCsr(edges), roots.select(col("rr").cast("long"), col("node").cast("long")),
+    val set: (GraphOps.InCsr, Int, SplittableRandom) => Seq[Int] = model match {
+      case "ic" => (csr, root, rng) => GraphOps.reverseBfs(csr, root, maxDepth)(e => rng.nextDouble() < csr.w(e))
+      case "lt" => (csr, root, rng) => GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
+      case other => throw new IllegalArgumentException(s"unknown diffusion model: $other")
+    }
+    GraphOps.perRoot(csr, roots.select(col("rr").cast("long"), col("node").cast("long")),
       "rr", "node") { (csr, r) =>
       set(csr, r.getLong(1).toInt, GraphOps.draws(seed, r.getLong(0))).iterator.map(v => (r.getLong(0), v.toLong))
     }
@@ -61,13 +64,7 @@ object RRSets {
   /** End-to-end baseline: sample θ RR sets under `model` and pick k seeds. */
   def select(inst: Instance, model: String, k: Int, theta: Long,
              seed: Long = 47): Seq[Long] = {
-    val spark = inst.edges.sparkSession
-    val roots = sampleRoots(spark, inst.n, theta, seed)
-    val rr = model match {
-      case "ic" => sampleIC(spark, inst.edges, roots, inst.t, seed + 1)
-      case "lt" => sampleLT(spark, inst.edges, roots, inst.t, seed + 1)
-      case other => throw new IllegalArgumentException(s"unknown diffusion model: $other")
-    }
-    greedyCover(rr, k, inst.n)
+    val roots = sampleRoots(inst.edges.sparkSession, inst.n, theta, seed)
+    greedyCover(sample(inst.csr, model, roots, inst.t, seed + 1), k, inst.n)
   }
 }

@@ -5,6 +5,7 @@ import org.apache.spark.sql.{DataFrame, Encoder, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
+import scala.math.Ordering.Double.TotalOrdering
 import scala.reflect.ClassTag
 
 /** Graph substrate for the paper's opinion-diffusion algorithms.
@@ -36,17 +37,13 @@ object GraphOps {
     normalized.unionByName(selfLoops)
   }
 
-  /** True iff incoming weights of every node sum to 1 (within `tol`). */
-  def isColumnStochastic(edges: DataFrame, n: Long, tol: Double = 1e-9): Boolean = {
-    val bad = edges.groupBy("dst").agg(sum("w").as("s"))
-      .filter(abs(col("s") - 1.0) > tol).count()
-    val covered = edges.select("dst").distinct().count()
-    bad == 0 && covered == n
-  }
+  /** True iff [[edgeDefect]] finds no defect in `edges` over nodes `0 until n`. */
+  def isColumnStochastic(edges: DataFrame, n: Long): Boolean = edgeDefect(inCsr(edges), n.toInt).isEmpty
 
-  /** In-edge CSR of normalized edges: node `v`'s in-edges are `in(v)`,
-    * sources `src` ascending, and edge `e` covers `[hi(e) − w(e), hi(e))`,
-    * so they tile `[0, 1)`.
+  /** In-edge CSR of normalized edges, the one layout of `W` that the FJ
+    * step loop, walks, RR sets and reach read: node `v`'s in-edges are
+    * `in(v)`, sources `src` ascending, and edge `e` covers
+    * `[hi(e) − w(e), hi(e))`, so they tile `[0, 1)`.
     */
   final case class InCsr(off: Array[Int], src: Array[Int], w: Array[Double], hi: Array[Double]) {
     def in(v: Int): Range = off(v) until off(v + 1)
@@ -58,15 +55,36 @@ object GraphOps {
     }
   }
 
-  /** Collects `edges` into an [[InCsr]] over nodes `0` to the largest id. */
+  /** Collects `edges` into an [[InCsr]] over nodes `0` to the largest id;
+    * edges with equal `src` and `dst` are ordered by weight.
+    */
   def inCsr(edges: DataFrame): InCsr = {
     val es = edges.select(col("dst").cast("int"), col("src").cast("int"), col("w").cast("double"))
-      .collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))).sortBy(e => (e._1, e._2))
+      .collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))).sorted
+    require(es.forall(e => e._1 >= 0 && e._2 >= 0), "edges must have node ids >= 0")
     val byDst = es.groupBy(_._1)
     val in = (0 until es.map(e => math.max(e._1, e._2) + 1).maxOption.getOrElse(0))
       .map(byDst.getOrElse(_, Array.empty[(Int, Int, Double)]))
     InCsr(in.scanLeft(0)(_ + _.length).toArray, es.map(_._2), es.map(_._3),
       in.flatMap(_.map(_._3).scanLeft(0.0)(_ + _).tail).toArray)
+  }
+
+  /** The first defect of `csr` as the in-edges of a column-stochastic `W`
+    * over nodes `0 until n`, each kind at its smallest node, in this order:
+    * in-edges on a node outside `0 until n`, an in-edge from a source outside
+    * it, a node with no in-edges, and in-weights whose total is off 1 by more
+    * than 1e-9. `None` if there is none.
+    */
+  def edgeDefect(csr: InCsr, n: Int): Option[String] = {
+    val nodes = csr.off.length - 1
+    def total(v: Int) = csr.in(v).map(csr.w).sum
+    (n until nodes).find(csr.in(_).nonEmpty).map(v => s"node $v has in-edges but no profile row")
+      .orElse((0 until nodes).find(csr.in(_).exists(csr.src(_) >= n))
+        .map(v => s"an in-edge of node $v comes from a node with no profile row"))
+      .orElse((0 until n).find(v => v >= nodes || csr.in(v).isEmpty)
+        .map(v => s"node $v has no in-edges; normalize the edges first"))
+      .orElse((0 until n).find(v => math.abs(total(v) - 1.0) > 1e-9).map(v => s"the in-edge weights of node $v " +
+        s"sum to ${total(v)}, not 1: edges are not column-stochastic; normalize the edges first"))
   }
 
   /** The draws of walk, RR set or start `id`: every sampler draws from
@@ -130,9 +148,13 @@ object GraphOps {
     * (Def 2) for every possible seed `s` at once, from a reverse BFS of
     * every `node`.
     */
-  def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame = {
+  def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame =
+    reachWithin(spark, inCsr(edges), n, t)
+
+  /** [[reachWithin]] over the in-edges `csr`. */
+  def reachWithin(spark: SparkSession, csr: InCsr, n: Long, t: Int): DataFrame = {
     import spark.implicits._
-    perRoot(inCsr(edges), spark.range(n).toDF(), "root", "node") { (csr, r) =>
+    perRoot(csr, spark.range(n).toDF(), "root", "node") { (csr, r) =>
       reverseBfs(csr, r.getLong(0).toInt, t)(_ => true).iterator.map(u => (u.toLong, r.getLong(0)))
     }
   }
@@ -142,25 +164,22 @@ object GraphOps {
     * the set covering the most elements not yet covered, ties to the smaller
     * id. Once every element is covered, the smallest unpicked id is picked.
     * Returns each pick with its new coverage (the number of elements it
-    * covers first). Coverage is submodular, so greedy is
-    * (1-1/e)-approximate.
+    * covers first). The pairs are collected once; the greedy runs on the
+    * driver. Coverage is submodular, so greedy is (1-1/e)-approximate.
     */
   def maxCoverage(pairs: DataFrame, k: Int, n: Long): Seq[(Long, Long)] = {
     require(k >= 1 && k <= n, s"k=$k out of range [1, $n]")
-    var remaining = pairs.toDF("set", "elem").localCheckpoint(true)
+    val elems = pairs.toDF("set", "elem").select(col("set").cast("long"), col("elem").cast("long")).collect()
+      .groupMap(_.getLong(0))(_.getLong(1))
+    val covered = mutable.HashSet.empty[Long]
     var picks = Vector.empty[(Long, Long)]
-    for (i <- 1 to k) {
-      val top = remaining.groupBy("set").agg(count(lit(1)).as("c"))
-        .orderBy(col("c").desc, col("set")).limit(1).collect()
-      val pick = top.headOption match {
-        case Some(r) => (r.getLong(0), r.getLong(1))
-        case None => ((0L until n).find(v => !picks.exists(_._1 == v)).get, 0L) // all covered
-      }
+    for (_ <- 1 to k) {
+      // A set's coverage counts its pairs, duplicates included, with an uncovered element.
+      val pick = elems.view.map { case (s, es) => (s, es.count(!covered(_)).toLong) }.filter(_._2 > 0)
+        .minByOption { case (s, c) => (-c, s) }
+        .getOrElse(((0L until n).find(v => !picks.exists(_._1 == v)).get, 0L)) // all covered
       picks :+= pick
-      if (i < k) {
-        val covered = remaining.filter(col("set") === pick._1).select("elem").distinct()
-        remaining = remaining.join(covered, Seq("elem"), "left_anti").localCheckpoint(true)
-      }
+      elems.get(pick._1).foreach(covered ++= _)
     }
     picks
   }

@@ -26,7 +26,7 @@ object GreedyDM {
                              cands: Seq[Long]): Map[Long, Double] = {
     val (b0, d) = inst.targetDense(seeds)
     val scen = cands.toArray
-    val ops = OpinionDiffusion.scenarioOpinions(inst.edges, b0, d, scen, inst.t)
+    val ops = OpinionDiffusion.scenarioOpinions(inst.csr, b0, d, scen, inst.t)
     scen.indices.map { j =>
       scen(j) -> inst.targetScoreOf(score, Array.tabulate(b0.length)(v => ops(v * scen.length + j)))
     }.toMap

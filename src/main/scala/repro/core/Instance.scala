@@ -7,25 +7,34 @@ import org.apache.spark.sql.functions._
   * normalized edges, per-candidate node profile `(node, cand, b0, d)`,
   * node count `n`, candidate count `r`, target candidate `q`, horizon `t`.
   *
-  * The profile is collected and checked once, on first use, into dense
-  * arrays ([[OpinionDiffusion.Dense]]); seeded diffusions pin their seeds
-  * on those arrays and diffuse the target alone, since diffusion is
-  * independent per candidate (§II-A) and `q`'s seeds leave the competitors'
-  * opinions at the seedless horizon. Scores are summed on the driver from
-  * the opinions the diffusion collects. A copy of the instance collects and
-  * diffuses its own.
+  * The profile (of `n` nodes, `r` candidates) is collected and checked
+  * once, on first use, into dense arrays, and the edges into the in-edge CSR
+  * [[csr]], which every diffusion, walk, RR set and reach reads; seeded
+  * diffusions pin their seeds on those arrays and diffuse the target alone,
+  * since diffusion is independent per candidate (§II-A) and `q`'s seeds
+  * leave the competitors' opinions at the seedless horizon. Scores are
+  * summed on the driver from the opinions the diffusion collects. A copy of
+  * the instance collects and diffuses its own.
   */
 final case class Instance(edges: DataFrame, profile: DataFrame,
                           n: Long, r: Int, q: Int, t: Int) {
   require(r > 1, s"the paper assumes r > 1 candidates, got $r")
   require(q >= 0 && q < r, s"target candidate $q out of range [0,$r)")
 
-  private lazy val dense = OpinionDiffusion.Dense(profile)
+  private lazy val dense = {
+    val p = OpinionDiffusion.Dense(profile)
+    require(p.n == n && p.k == r,
+      s"the profile has ${p.n} nodes and ${p.k} candidates, but the instance has n = $n and r = $r")
+    p
+  }
+
+  /** The in-edges of `edges`, collected once, on first use. */
+  private[repro] lazy val csr: GraphOps.InCsr = GraphOps.inCsr(edges)
 
   /** The seedless horizon: exact opinions of every candidate at `t` with no
     * seeds, node-major (entry `v * r + c`), diffused once, on first use.
     */
-  private lazy val horizon: Array[Double] = OpinionDiffusion.advance(edges, dense.b0, dense.d, dense.k, t)
+  private lazy val horizon: Array[Double] = OpinionDiffusion.advance(csr, dense.b0, dense.d, dense.k, t)
 
   /** [[horizon]] as a local DataFrame `(node, cand, b)`. */
   private lazy val horizonFrame: DataFrame = OpinionDiffusion.frame(edges.sparkSession, horizon, dense.k)
@@ -41,11 +50,11 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
     if (seeds.isEmpty) Array.tabulate(dense.n)(v => horizon(v * dense.k + q))
     else {
       val (b0, d) = targetDense(seeds)
-      OpinionDiffusion.advance(edges, b0, d, 1, t)
+      OpinionDiffusion.advance(csr, b0, d, 1, t)
     }
 
   /** The target's `b0` and `d`, one per node, with `seeds` pinned to 1. */
-  private[core] def targetDense(seeds: Seq[Long]): (Array[Double], Array[Double]) = {
+  private[repro] def targetDense(seeds: Seq[Long]): (Array[Double], Array[Double]) = {
     val b0 = Array.tabulate(dense.n)(v => dense.b0(v * dense.k + q))
     val d = Array.tabulate(dense.n)(v => dense.d(v * dense.k + q))
     seeds.filter(s => s >= 0 && s < dense.n).foreach { s => b0(s.toInt) = 1.0; d(s.toInt) = 1.0 }

@@ -1,22 +1,23 @@
 package repro.core
 
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import scala.math.Ordering.Double.TotalOrdering
 
 /** Exact opinion diffusion under the Friedkin–Johnsen model (Eq 2 of the
   * paper); DeGroot (Eq 1) is the special case of all-zero stubbornness.
   *
   * Both kernels advance `k` opinion vectors over the `n` nodes together:
   * one per candidate in [[diffuse]], one per candidate seed in
-  * [[diffuseScenarios]]. The edges stay distributed: each call groups the
-  * in-edges by `dst` once and caches them. Each FJ timestep broadcasts the
-  * current `n × k` opinions and runs one narrow job that returns every
-  * node's weighted in-neighbour sums `wsum`; the driver then applies
+  * [[diffuseScenarios]]. Each call collects the edges into the in-edge CSR
+  * ([[GraphOps.inCsr]]), checks it once ([[GraphOps.edgeDefect]]) and
+  * broadcasts it. Each FJ timestep broadcasts the current `n × k` opinions
+  * and runs one job that maps node ranges to every node's weighted
+  * in-neighbour sums `wsum`; the driver then applies
   * `b = (1 − d)·wsum + d·b0`. A node sums its in-edges in ascending `src`
   * order, so results do not depend on partitioning. The result is a local
-  * DataFrame with no lineage. [[Instance]] collects its profile once
-  * ([[Dense]]) and calls the step loop on those arrays directly.
+  * DataFrame with no lineage. [[Instance]] collects its profile ([[Dense]])
+  * and its CSR once and calls the step loop on them directly.
   *
   * Seeding a node `s` for candidate `q` sets `b0 = 1` and `d = 1` for
   * `(s, q)` (§II-C), freezing its opinion about `q` at 1.
@@ -50,7 +51,7 @@ object OpinionDiffusion {
   def diffuse(edges: DataFrame, profile: DataFrame, t: Int): DataFrame = {
     require(t >= 0, s"time horizon must be non-negative, got $t")
     val p = Dense(profile)
-    frame(edges.sparkSession, advance(edges, p.b0, p.d, p.k, t), p.k)
+    frame(edges.sparkSession, advance(GraphOps.inCsr(edges), p.b0, p.d, p.k, t), p.k)
   }
 
   /** Scenario-vectorized diffusion for greedy marginal-gain evaluation:
@@ -73,7 +74,7 @@ object OpinionDiffusion {
       .map(r => (r.getLong(0), 0, r.getDouble(1), r.getDouble(2)))
     val p = dense(rows, 1, (v, _) => s"(node=$v)")
     val scen = scenarios.select(col("scen").cast("long")).collect().map(_.getLong(0))
-    val b = scenarioOpinions(edges, p.b0, p.d, scen, t)
+    val b = scenarioOpinions(GraphOps.inCsr(edges), p.b0, p.d, scen, t)
     val spark = edges.sparkSession
     import spark.implicits._
     (for (v <- 0 until p.n; j <- scen.indices) yield (scen(j), v.toLong, b(v * scen.length + j)))
@@ -84,13 +85,13 @@ object OpinionDiffusion {
     * per node): node-major opinions, entry `v * scen.length + j` for
     * scenario `j`.
     */
-  private[core] def scenarioOpinions(edges: DataFrame, b0: Array[Double], d: Array[Double],
+  private[core] def scenarioOpinions(csr: GraphOps.InCsr, b0: Array[Double], d: Array[Double],
                                      scen: Array[Long], t: Int): Array[Double] = {
     val k = scen.length
     // Scenario j pins its own node: b0 = d = 1 there.
     def pinned(base: Array[Double])(i: Int): Double =
       if (scen(i % k) == i / k) 1.0 else base(i / k)
-    advance(edges, Array.tabulate(b0.length * k)(pinned(b0)), Array.tabulate(b0.length * k)(pinned(d)), k, t)
+    advance(csr, Array.tabulate(b0.length * k)(pinned(b0)), Array.tabulate(b0.length * k)(pinned(d)), k, t)
   }
 
   /** A checked profile on the driver: node-major `b0` and `d` (entry
@@ -143,67 +144,29 @@ object OpinionDiffusion {
   }
 
   /** `t` FJ steps of the `k` node-major opinion vectors with initial
-    * opinions `b0` and stubbornness `d`; one Spark job per step. The same
-    * jobs return each node's in-weight total, so edges that are not
-    * column-stochastic are rejected without a job of their own.
+    * opinions `b0` and stubbornness `d` over the in-edges `csr`, which are
+    * checked once ([[GraphOps.edgeDefect]]); one Spark job per step.
     */
-  private[core] def advance(edges: DataFrame, b0: Array[Double], d: Array[Double],
+  private[core] def advance(csr: GraphOps.InCsr, b0: Array[Double], d: Array[Double],
                             k: Int, t: Int): Array[Double] = {
-    if (t == 0 || b0.isEmpty) return b0
+    if (k == 0) return b0
     val n = b0.length / k
-    val sc = edges.sparkSession.sparkContext
-    val inEdges = edges.select(col("dst").cast("long"), col("src").cast("long"), col("w").cast("double"))
-      .rdd.map(r => (r.getLong(0), (r.getLong(1), r.getDouble(2))))
-      .groupByKey()
-      .mapValues { es => val sorted = es.toArray.sorted; (sorted.map(_._1), sorted.map(_._2)) }
-      .cache()
+    GraphOps.edgeDefect(csr, n).foreach(msg => throw new IllegalArgumentException(msg))
+    val sc = SparkContext.getOrCreate()
+    val bcCsr = sc.broadcast(csr)
     try {
       var b = b0
       for (_ <- 1 to t) {
         val bc = sc.broadcast(b)
-        val sums = try {
-          inEdges.mapPartitions(_.map { case (dst, (srcs, ws)) =>
-            // A source outside the profile yields no sums; the driver reports it.
-            (dst, ws.sum, if (srcs.head < 0 || srcs.last >= n) null else inSums(srcs, ws, bc.value, k))
-          }).collect()
-        } finally bc.destroy()
-        val next = new Array[Double](n * k)
-        val inWeight = new Array[Double](n)
-        val reached = new Array[Boolean](n)
-        sums.foreach { case (dst, wTotal, s) =>
-          require(dst >= 0 && dst < n, s"node $dst has in-edges but no profile row")
-          require(s != null, s"an in-edge of node $dst comes from a node with no profile row")
-          val base = dst.toInt * k
-          reached(dst.toInt) = true
-          inWeight(dst.toInt) = wTotal
-          for (j <- 0 until k)
-            next(base + j) = (1.0 - d(base + j)) * s(j) + d(base + j) * b0(base + j)
-        }
-        val orphan = reached.indexOf(false)
-        require(orphan < 0, s"node $orphan has no in-edges; normalize the edges first")
-        val skewed = inWeight.indexWhere(w => math.abs(w - 1.0) > StochasticTol)
-        require(skewed < 0, s"the in-edge weights of node $skewed sum to ${inWeight(skewed)}, not 1: " +
-          "edges are not column-stochastic; normalize the edges first")
-        b = next
+        val sums = try sc.parallelize(0 until n).map { v =>
+          // Node v's in-neighbour sums Σ w·b(src) of the k vectors, sources ascending.
+          val (csr, b, s) = (bcCsr.value, bc.value, new Array[Double](k))
+          for (e <- csr.in(v); j <- 0 until k) s(j) += b(csr.src(e) * k + j) * csr.w(e)
+          s
+        }.collect() finally bc.destroy()
+        b = Array.tabulate(n * k)(i => (1.0 - d(i)) * sums(i / k)(i % k) + d(i) * b0(i))
       }
       b
-    } finally inEdges.unpersist(blocking = false)
-  }
-
-  /** How far a node's in-edge weight total may stray from 1. */
-  private val StochasticTol = 1e-9
-
-  /** One node's in-neighbour sums `Σ w·b(src)` for each of the `k`
-    * vectors, over its in-edges in ascending `src` order.
-    */
-  private def inSums(srcs: Array[Long], ws: Array[Double], b: Array[Double], k: Int): Array[Double] = {
-    val s = new Array[Double](k)
-    for (e <- srcs.indices) {
-      val base = srcs(e).toInt * k
-      val w = ws(e)
-      var j = 0
-      while (j < k) { s(j) += b(base + j) * w; j += 1 }
-    }
-    s
+    } finally bcCsr.destroy()
   }
 }

@@ -52,7 +52,7 @@ object Sandwich {
     */
   def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) = {
     val users = fixed.select("node").distinct()
-    val reach = GraphOps.reachWithin(inst.edges.sparkSession, inst.edges, inst.n, inst.t)
+    val reach = GraphOps.reachWithin(inst.edges.sparkSession, inst.csr, inst.n, inst.t)
     val uncovered = reach.join(users, Seq("node"), "left_anti").select("root", "node")
     val picks = GraphOps.maxCoverage(uncovered, k, inst.n)
     (picks.map(_._1), (users.count() + picks.map(_._2).sum) * factor)

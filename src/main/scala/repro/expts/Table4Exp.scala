@@ -46,7 +46,7 @@ object Table4Exp {
     // switched users within the seed's t-hop reach, grouped by domain.
     val switched = after.join(before, Seq("node"), "left_anti").localCheckpoint(true)
     val top10 = seeds.take(10)
-    val reach = GraphOps.reachWithin(spark, edges, n, t)
+    val reach = GraphOps.reachWithin(spark, inst.csr, n, t)
       .filter(col("root").isInCollection(top10)).localCheckpoint(true)
     val domTotals = domains.groupBy("domain").agg(count(lit(1)).as("tot"))
       .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap

@@ -1,7 +1,6 @@
 package repro.walks
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** Front-ends for the paper's two efficient methods.
@@ -59,13 +58,16 @@ object Methods {
   /** Walk greedy over one walk per row of `starts`. */
   private def walkGreedy(inst: Instance, score: VoteScore, k: Int, starts: DataFrame, seed: Long,
                          obsIsWalk: Boolean, scale: Double): WalkGreedy.Result = {
-    val walks = WalkGen.generate(inst.edges.sparkSession, inst.edges, targetStubbornness(inst), starts, inst.t, seed)
+    val walks = WalkGen.generate(inst.csr, inst.targetDense(Nil)._2, starts, inst.t, seed)
     WalkGreedy.select(inst, score, k, WalkGen.annotate(walks, inst, obsIsWalk), scale)
   }
 
   /** Target candidate's stubbornness `(node, d)` with no seeds applied —
-    * walk termination probabilities of Direct Generation (§V-A).
+    * walk termination probabilities of Direct Generation (§V-A) — as a local
+    * DataFrame view of the instance's dense profile.
     */
-  def targetStubbornness(inst: Instance): DataFrame =
-    inst.profile.filter(col("cand") === inst.q).select(col("node"), col("d"))
+  def targetStubbornness(inst: Instance): DataFrame = {
+    import inst.edges.sparkSession.implicits._
+    inst.targetDense(Nil)._2.toSeq.zipWithIndex.map { case (d, v) => (v.toLong, d) }.toDF("node", "d")
+  }
 }

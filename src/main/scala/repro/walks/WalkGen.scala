@@ -29,11 +29,16 @@ object WalkGen {
     */
   def generate(spark: SparkSession, edges: DataFrame, targetStubbornness: DataFrame,
                starts: DataFrame, t: Int, seed: Long): DataFrame = {
-    import spark.implicits._
     val csr = GraphOps.inCsr(edges)
     val d = new Array[Double](csr.off.length - 1)
     targetStubbornness.select(col("node").cast("int"), col("d").cast("double")).collect()
       .foreach(r => d(r.getInt(0)) = r.getDouble(1))
+    generate(csr, d, starts, t, seed)
+  }
+
+  /** [[generate]] over the in-edges `csr` with stubbornness `d(v)` at node `v`. */
+  def generate(csr: GraphOps.InCsr, d: Array[Double], starts: DataFrame, t: Int, seed: Long): DataFrame = {
+    import starts.sparkSession.implicits._
     GraphOps.perRoot((csr, d), starts.select(col("wid").cast("long"), col("start").cast("long")),
       "wid", "start", "path", "end") { case ((csr, d), r) =>
       val path = GraphOps.reverseWalk(csr, r.getLong(1).toInt, t, d(_), GraphOps.draws(seed, r.getLong(0)),
@@ -67,18 +72,19 @@ object WalkGen {
     GraphOps.uniformNodes(spark, n, theta, seed).toDF("wid", "start")
 
   /** Annotate generated walks with the target candidate's initial opinion of
-    * each walk's end node, producing the greedy working set
-    * `(wid, obs, start, path, b0end, covered=false)`.
+    * each walk's end node, read from the instance's dense profile, producing
+    * the greedy working set `(wid, obs, start, path, b0end, covered=false)`
+    * in one job.
     *
     * @param obsIsWalk RS keys observations by walk id (λ=1 per sample);
     *                  RW keys them by start node (λ_v walks averaged).
     */
   def annotate(walks: DataFrame, inst: Instance, obsIsWalk: Boolean): DataFrame = {
-    val b0 = inst.profile.filter(col("cand") === inst.q).select(col("node"), col("b0"))
-    walks.join(b0, walks("end") === b0("node"))
-      .select(col("wid"),
-        (if (obsIsWalk) col("wid") else col("start")).as("obs"),
-        col("start"), col("path"), col("b0").as("b0end"), lit(false).as("covered"))
-      .localCheckpoint(true)
+    import walks.sparkSession.implicits._
+    GraphOps.perRoot(inst.targetDense(Nil)._1, walks.select("wid", "start", "path", "end"),
+      "wid", "obs", "start", "path", "b0end", "covered") { (b0, r) =>
+      Iterator((r.getLong(0), r.getLong(if (obsIsWalk) 0 else 1), r.getLong(1), r.getSeq[Long](2),
+        b0(r.getLong(3).toInt), false))
+    }
   }
 }

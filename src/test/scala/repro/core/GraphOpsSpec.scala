@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{JobCounter, Oracle, SparkSpec}
 
 class GraphOpsSpec extends SparkSpec {
   import spark.implicits._
@@ -45,6 +45,32 @@ class GraphOpsSpec extends SparkSpec {
 
   test("isColumnStochastic rejects an unnormalized graph") {
     assert(!GraphOps.isColumnStochastic(raw, 5))
+  }
+
+  test("isColumnStochastic rejects in-edges on a node outside 0 until n") {
+    // Node 4's self-loop moved to a node 5: every in-weight total is 1, and 5 nodes have in-edges.
+    val moved = edges.filter(col("dst") =!= 4).unionByName(Seq((0L, 5L, 1.0)).toDF("src", "dst", "w"))
+    assert(!GraphOps.isColumnStochastic(moved, 5))
+  }
+
+  /** The defect of edges `es` `(src, dst, w)` over nodes `0 until n`. */
+  private def defectOf(es: Seq[(Long, Long, Double)], n: Int): Option[String] =
+    GraphOps.edgeDefect(GraphOps.inCsr(es.toDF("src", "dst", "w")), n)
+
+  test("edgeDefect reports each defect at its smallest node, in a fixed order") {
+    val ok = edges.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
+    assert(defectOf(ok, 5).isEmpty)
+    assert(defectOf(ok ++ Seq((0L, 6L, 1.0), (0L, 5L, 1.0)), 5).contains("node 5 has in-edges but no profile row"))
+    assert(defectOf(ok ++ Seq((7L, 3L, 0.5), (6L, 2L, 0.5)), 5)
+      .contains("an in-edge of node 2 comes from a node with no profile row"))
+    assert(defectOf(ok.filterNot(e => e._2 == 4 || e._2 == 1), 5)
+      .contains("node 1 has no in-edges; normalize the edges first"))
+    assert(defectOf(ok.filterNot(_._2 == 4), 5).contains("node 4 has no in-edges; normalize the edges first"))
+    val halved = ok.map { case (s, d, w) => (s, d, if (d == 2 || d == 3) w / 2 else w) }
+    assert(defectOf(halved, 5).exists(_.startsWith("the in-edge weights of node 2 sum to 0.5, not 1")))
+    // A source outside 0 until n comes before a node with no in-edges, which comes before skewed weights.
+    assert(defectOf(ok.filterNot(_._2 == 1) :+ ((6L, 3L, 0.0)), 5).exists(_.startsWith("an in-edge of node 3")))
+    assert(defectOf(halved.filterNot(_._2 == 4), 5).exists(_.startsWith("node 4 has no in-edges")))
   }
 
   // The in-edge CDF is `InCsr.hi`: edge `e` into `v` covers `[hi(e) − w(e), hi(e))`.
@@ -116,6 +142,12 @@ class GraphOpsSpec extends SparkSpec {
     assert(GraphOps.maxCoverage(pairs, 5, 5) == Seq(1L -> 2L, 2L -> 1L, 3L -> 1L, 0L -> 0L, 4L -> 0L))
     intercept[IllegalArgumentException](GraphOps.maxCoverage(pairs, 6, 5))
     intercept[IllegalArgumentException](GraphOps.maxCoverage(pairs, 0, 5))
+  }
+
+  test("maxCoverage runs as many Spark jobs for k = 1 as for k = 5") {
+    val pairs = Seq((2L, 10L), (2L, 11L), (1L, 11L), (1L, 12L), (3L, 13L)).toDF("set", "elem")
+    def jobs(k: Int) = JobCounter(spark)(GraphOps.maxCoverage(pairs, k, 5))._2
+    assert(jobs(1) == jobs(5))
   }
 
   test("weightedOutDegree excludes self-loops and defaults to 0") {

@@ -251,4 +251,19 @@ class OpinionDiffusionSpec extends SparkSpec {
       OpinionDiffusion.diffuseScenarios(rnd.edges, rnd.targetProfile(Seq(3L)), scen, rnd.t))
     assert(jobs <= rnd.t + 2, s"$jobs jobs")
   }
+
+  test("a seeded targetScore runs exactly t one-stage jobs once the instance's CSR exists") {
+    val i = rnd.copy(t = 3)
+    i.targetScore(Cumulative, Nil) // collects the profile and the CSR, diffuses the horizon
+    val (_, jobs, stages) = JobCounter.withStages(spark)(i.targetScore(Cumulative, Seq(3L, 17L)))
+    assert(jobs == i.t && stages == i.t, s"$jobs jobs, $stages stages")
+  }
+
+  test("an instance whose n or r disagrees with its profile is rejected, naming both counts") {
+    for ((n, r) <- Seq((5L, 2), (4L, 3))) {
+      val e = intercept[IllegalArgumentException](inst.copy(n = n, r = r).targetScore(Cumulative, Nil))
+      assert(e.getMessage.contains(
+        s"the profile has 4 nodes and 2 candidates, but the instance has n = $n and r = $r"))
+    }
+  }
 }

@@ -1,7 +1,7 @@
 package repro.walks
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{JobCounter, SparkSpec}
 import repro.expts.{Datasets, RunningExample}
 
 class WalkGenSpec extends SparkSpec {
@@ -119,5 +119,12 @@ class WalkGenSpec extends SparkSpec {
     assert(byWalk.filter(col("obs") =!= col("wid")).count() == 0)
     val byNode = WalkGen.annotate(w, inst, obsIsWalk = false)
     assert(byNode.filter(col("obs") =!= col("start")).count() == 0)
+  }
+
+  test("annotate runs at most one Spark job") {
+    val w = gen(inst, 3)
+    Methods.targetStubbornness(inst) // the instance collects its profile here
+    val (_, jobs) = JobCounter(spark)(WalkGen.annotate(w, inst, obsIsWalk = false))
+    assert(jobs <= 1, s"$jobs jobs")
   }
 }
