@@ -53,11 +53,16 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
       OpinionDiffusion.advance(csr, b0, d, 1, t)
     }
 
-  /** The target's `b0` and `d`, one per node, with `seeds` pinned to 1. */
+  /** The target's `b0` and `d`, one per node, with `seeds` pinned to 1.
+    * Every seeded entry point pins its seeds here, rejecting any outside `0 until n`.
+    */
   private[repro] def targetDense(seeds: Seq[Long]): (Array[Double], Array[Double]) = {
     val b0 = Array.tabulate(dense.n)(v => dense.b0(v * dense.k + q))
     val d = Array.tabulate(dense.n)(v => dense.d(v * dense.k + q))
-    seeds.filter(s => s >= 0 && s < dense.n).foreach { s => b0(s.toInt) = 1.0; d(s.toInt) = 1.0 }
+    for (s <- seeds) {
+      require(s >= 0 && s < n, s"seed $s out of range [0, $n)")
+      b0(s.toInt) = 1.0; d(s.toInt) = 1.0
+    }
     (b0, d)
   }
 
@@ -89,11 +94,12 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
     */
   def competitorOpinions(): DataFrame = horizonFrame.filter(col("cand") =!= q)
 
-  /** Target candidate's profile `(node, b0, d)` with `seeds` applied. */
-  def targetProfile(seeds: Seq[Long]): DataFrame =
-    OpinionDiffusion.applySeeds(profile, q, seeds)
-      .filter(col("cand") === q)
-      .select("node", "b0", "d")
+  /** Target candidate's profile `(node, b0, d)` with `seeds` applied, a local DataFrame. */
+  def targetProfile(seeds: Seq[Long]): DataFrame = {
+    import edges.sparkSession.implicits._
+    val (b0, d) = targetDense(seeds)
+    b0.indices.map(v => (v.toLong, b0(v), d(v))).toDF("node", "b0", "d")
+  }
 
   /** Exact target score at the horizon given `seeds`. */
   def targetScore(score: VoteScore, seeds: Seq[Long]): Double = targetScoreOf(score, targetOpinions(seeds))

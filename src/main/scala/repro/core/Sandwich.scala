@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
 /** Sandwich approximation (Algorithm 3, §IV) for the non-submodular scores.
   *
@@ -47,15 +48,16 @@ object Sandwich {
 
   /** Greedy maximization of `factor * |N_S ∪ fixed|` — a max coverage
     * ([[GraphOps.maxCoverage]]) of the users outside `fixed` by the t-hop
-    * reach sets. Returns the seeds and the exact UB value of the returned
-    * set.
+    * reach sets. `fixed` is collected once; its users are filtered out of
+    * the reach pairs before they are collected. Returns the seeds and the
+    * exact UB value of the returned set.
     */
   def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) = {
-    val users = fixed.select("node").distinct()
+    val users = fixed.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet
     val reach = GraphOps.reachWithin(inst.edges.sparkSession, inst.csr, inst.n, inst.t)
-    val uncovered = reach.join(users, Seq("node"), "left_anti").select("root", "node")
+    val uncovered = reach.filter(!col("node").isInCollection(users)).select("root", "node")
     val picks = GraphOps.maxCoverage(uncovered, k, inst.n)
-    (picks.map(_._1), (users.count() + picks.map(_._2).sum) * factor)
+    (picks.map(_._1), (users.size + picks.map(_._2).sum) * factor)
   }
 
   /** Algorithm 3 for a plurality-variant score. */

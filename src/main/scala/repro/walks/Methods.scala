@@ -64,10 +64,7 @@ object Methods {
 
   /** Target candidate's stubbornness `(node, d)` with no seeds applied —
     * walk termination probabilities of Direct Generation (§V-A) — as a local
-    * DataFrame view of the instance's dense profile.
+    * DataFrame.
     */
-  def targetStubbornness(inst: Instance): DataFrame = {
-    import inst.edges.sparkSession.implicits._
-    inst.targetDense(Nil)._2.toSeq.zipWithIndex.map { case (d, v) => (v.toLong, d) }.toDF("node", "d")
-  }
+  def targetStubbornness(inst: Instance): DataFrame = inst.targetProfile(Nil).select("node", "d")
 }

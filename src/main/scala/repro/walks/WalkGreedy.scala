@@ -1,10 +1,9 @@
 package repro.walks
 
-import org.apache.spark.SparkContext
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core._
+import scala.collection.immutable.TreeMap
 
 /** Greedy seed selection over pre-generated reverse random walks:
   * Algorithm 4 (RW) and Algorithm 5 (RS) share this engine — they differ
@@ -20,10 +19,11 @@ import repro.core._
   * is computable for *all* candidates in one scan: every not-yet-covered
   * walk whose path contains `w` would jump from `b0(end)` to 1.
   *
+  * The annotated walks are collected once and every round runs on the
+  * driver, over an index from each node to the walks whose path holds it.
   * Ranking-based scores additionally use the competitors' exact horizon
-  * opinions, computed once by direct matrix-vector multiplication (§V-B)
-  * and broadcast to the executors, which apply each score's
-  * [[VoteScore.voterTerms]] to the observations.
+  * opinions, computed once by direct matrix-vector multiplication (§V-B):
+  * each observation is one voter of the score's [[VoteScore.voterTerms]].
   */
 object WalkGreedy {
 
@@ -36,64 +36,37 @@ object WalkGreedy {
     else state.withColumn("covered",
       col("covered") || arrays_overlap(col("path"), array(seeds.map(lit): _*)))
 
-  /** Per-observation estimates `(obs, node, b, lam)` under the current
-    * cover state, where `node` is the observation's start node and `b` the
-    * average over its `lam` walks of (1 if covered else b0(end)) — the
-    * target opinion of that user, one voter of [[VoteScore.voterTerms]].
+  /** The annotated walks of `state`, collected in one job and sorted by
+    * `wid`, and their observations in ascending `obs` order. Each
+    * observation is one voter of the score: its start node, at the mean of
+    * its walks' values (1 if covered, else `b0end`) summed in `wid` order,
+    * against the competitor opinions `comp` of that node (ranked scores only).
     */
-  private def estimates(state: DataFrame): DataFrame =
-    state.groupBy(col("obs"), col("start").as("node")).agg(
-      (sum(when(col("covered"), 1.0).otherwise(col("b0end"))) / count(lit(1))).as("b"),
-      count(lit(1)).cast("double").as("lam"),
-    )
+  private final class Walks(state: DataFrame, score: VoteScore, comp: Long => Array[Double]) {
+    private val rows = state.select(col("wid").cast("long"), col("obs").cast("long"), col("start").cast("long"),
+      col("path"), col("b0end").cast("double"), col("covered")).collect().sortBy(_.getLong(0))
+    val path: Array[Array[Long]] = rows.map(_.getSeq[Long](3).distinct.toArray)
+    val b0end: Array[Double] = rows.map(_.getDouble(4))
+    val covered: Array[Boolean] = rows.map(_.getBoolean(5))
+    val walksOf: Array[Array[Int]] = rows.indices.toArray.groupBy(rows(_).getLong(1)).toArray.sortBy(_._1).map(_._2)
+    val obsOf: Array[Int] = new Array[Int](rows.length)
+    for (o <- walksOf.indices; i <- walksOf(o)) obsOf(i) = o
 
-  /** `(w, obs, sgn, node, b)`: each observation with an uncovered walk
-    * through `w`, at the estimate `b` it would move to if `w` were added as
-    * a seed (`sgn = 1`) and at its current estimate (`sgn = -1`).
-    */
-  private def moves(state: DataFrame): DataFrame =
-    state.filter(!col("covered"))
-      .select(col("obs"), explode(array_distinct(col("path"))).as("w"),
-        (lit(1.0) - col("b0end")).as("inc"))
-      .groupBy("w", "obs").agg(sum("inc").as("dsum"))
-      .join(estimates(state), Seq("obs"))
-      .select(col("w"), col("obs"), col("node"), explode(array(
-        struct(lit(1.0).as("sgn"), (col("b") + col("dsum") / col("lam")).as("b")),
-        struct(lit(-1.0).as("sgn"), col("b")))).as("m"))
-      .select(col("w"), col("obs"), col("m.sgn").as("sgn"), col("node"), col("m.b").as("b"))
+    def estimate(o: Int): Double = walksOf(o).map(i => if (covered(i)) 1.0 else b0end(i)).sum / walksOf(o).length
 
-  /** Competitor opinions of a node, broadcast to the executors; `None` for
-    * a score that is not ranked, which never reads them.
-    */
-  private type Competitors = Option[Broadcast[Long => Array[Double]]]
-
-  /** `body` given the competitor opinions `comp` broadcast, if `score` is
-    * ranked; the broadcast is destroyed afterwards.
-    */
-  private def withCompetitors[A](sc: SparkContext, score: VoteScore, comp: => Long => Array[Double])
-                                (body: Competitors => A): A = {
-    val bc = Option.when(score.ranked)(sc.broadcast(comp))
-    try body(bc) finally bc.foreach(_.destroy())
+    /** The score's terms of observation `o` at estimate `b`. */
+    def terms(o: Int, b: Double): Seq[(Int, Double)] = {
+      val node = rows(walksOf(o).head).getLong(2)
+      score.voterTerms(node, b, if (score.ranked) comp(node) else Array.emptyDoubleArray)
+    }
   }
 
-  /** Sums `key -> part -> Σ sgn·v` of the score's voter terms over `rows`,
-    * one voter `(node, b)` per row.
-    */
-  private def termSums(rows: DataFrame, key: Column, sgn: Column, score: VoteScore,
-                       comp: Competitors): Map[Long, Map[Int, Double]] = {
-    val terms = udf((node: Long, b: Double) =>
-      score.voterTerms(node, b, comp.fold(Array.emptyDoubleArray)(_.value(node))))
-    rows.select(key.as("key"), sgn.as("sgn"), explode(terms(col("node"), col("b"))).as("t"))
-      .groupBy(col("key"), col("t._1")).agg(sum(col("sgn") * col("t._2"))).collect()
-      .groupBy(_.getLong(0)).map { case (key, rs) => key -> rs.map(r => r.getInt(1) -> r.getDouble(2)).toMap }
-  }
-
-  /** Per-part sums `part -> Σ v` of the score's terms over the estimates. */
-  private def partTotals(state: DataFrame, score: VoteScore, comp: Competitors): Map[Int, Double] =
-    termSums(estimates(state), lit(0L), lit(1.0), score, comp).getOrElse(0L, Map.empty)
+  /** `totals` plus `sgn` times each term `(part, v)`. */
+  private def add(totals: TreeMap[Int, Double], terms: Iterable[(Int, Double)], sgn: Double): TreeMap[Int, Double] =
+    terms.foldLeft(totals) { case (t, (part, v)) => t.updated(part, t.getOrElse(part, 0.0) + sgn * v) }
 
   /** The score's finish on the part totals scaled by `scale`. */
-  private def finishScaled(score: VoteScore, totals: Map[Int, Double], scale: Double): Double =
+  private def finishScaled(score: VoteScore, totals: TreeMap[Int, Double], scale: Double): Double =
     score.finish(totals.values.map(_ * scale))
 
   /** Estimated target score of the current cover state: the score's finish
@@ -101,48 +74,60 @@ object WalkGreedy {
     * `compOps` `(node, cand, b)` is only evaluated by ranked scores.
     */
   def scoreEstimate(state: DataFrame, score: VoteScore, compOps: => DataFrame,
-                    scale: Double): Double =
-    withCompetitors(state.sparkSession.sparkContext, score, {
-      val byNode = VoteScore.competitorsByNode(compOps)
-      v => byNode.getOrElse(v, Array.emptyDoubleArray)
-    })(comp => finishScaled(score, partTotals(state, score, comp), scale))
+                    scale: Double): Double = {
+    lazy val byNode = VoteScore.competitorsByNode(compOps)
+    val walks = new Walks(state, score, v => byNode.getOrElse(v, Array.emptyDoubleArray))
+    finishScaled(score, walks.walksOf.indices.foldLeft(TreeMap.empty[Int, Double]) { (t, o) =>
+      add(t, walks.terms(o, walks.estimate(o)), 1.0)
+    }, scale)
+  }
 
   /** Greedy selection of `k` seeds by maximum *estimated* marginal gain
     * (Alg 4 line 6 / Alg 5 line 6), truncating walks after each pick.
     *
-    * The part totals of [[scoreEstimate]] are kept as a local map. Each round
-    * sums, for every candidate `w`, the change `Δw` in the part totals that
-    * adding `w` causes; the gain of `w` is the exact change of the estimate,
-    * `finish(scale·(base + Δw)) − finish(scale·base)`, and the picked `Δw`
-    * is added to the totals.
+    * The part totals of [[scoreEstimate]] are kept with each observation's
+    * terms. Each round sums, for every candidate `w` on an uncovered walk,
+    * `1 − b0end` over those walks per observation, and from the moved
+    * estimates the change `Δw` in the part totals that adding `w` causes;
+    * the gain of `w` is the exact change of the estimate,
+    * `finish(scale·(base + Δw)) − finish(scale·base)`, ties to the smaller
+    * id. The picked node's walks are marked covered and its `Δw` is added to
+    * the totals. One Spark job collects the walks, whatever `k`.
     */
   def select(inst: Instance, score: VoteScore, k: Int,
              annotatedWalks: DataFrame, scale: Double): Result = {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
-    withCompetitors(inst.edges.sparkSession.sparkContext, score, {
-      val competitors = inst.competitors
-      v => competitors(v.toInt)
-    }) { comp =>
-      var state = annotatedWalks
-      var seeds = Vector.empty[Long]
-      var ests = Vector.empty[Double]
-      var base = partTotals(state, score, comp)
+    val walks = new Walks(annotatedWalks, score, v => inst.competitors(v.toInt))
+    val b = Array.tabulate(walks.walksOf.length)(walks.estimate)
+    val terms = Array.tabulate(b.length)(o => walks.terms(o, b(o)))
+    val index = walks.path.indices.flatMap(i => walks.path(i).map(_ -> i)).groupMap(_._1)(_._2)
+    var base = terms.foldLeft(TreeMap.empty[Int, Double])(add(_, _, 1.0))
+    var seeds = Vector.empty[Long]
+    var ests = Vector.empty[Double]
 
-      for (_ <- 1 to k) {
-        val change = termSums(moves(state), col("w"), col("sgn"), score, comp)
-        def plus(delta: Iterable[(Int, Double)]) =
-          delta.foldLeft(base) { case (t, (part, v)) => t.updated(part, t.getOrElse(part, 0.0) + v) }
-        val cur = finishScaled(score, base, scale)
-        // A node on no uncovered walk changes no estimate: its gain is 0.
-        val (pick, delta) = change.filterNot { case (w, _) => seeds.contains(w) }
-          .minByOption { case (w, delta) => (cur - finishScaled(score, plus(delta), scale), w) }
-          .getOrElse(((0L until inst.n).filterNot(seeds.contains).head, Map.empty[Int, Double]))
-        seeds :+= pick
-        state = applyCover(state, Seq(pick)).localCheckpoint(true)
-        base = plus(delta)
-        ests :+= finishScaled(score, base, scale)
+    for (_ <- 1 to k) {
+      val cur = finishScaled(score, base, scale)
+      // A node on no uncovered walk changes no estimate: its gain is 0.
+      val change = index.iterator.filterNot { case (w, _) => seeds.contains(w) }.flatMap { case (w, ws) =>
+        val dsum = ws.filter(i => !walks.covered(i)).groupMapReduce(walks.obsOf)(1 - walks.b0end(_))(_ + _)
+        Option.when(dsum.nonEmpty)(w -> dsum.toSeq.sortBy(_._1).foldLeft(TreeMap.empty[Int, Double]) {
+          case (delta, (o, s)) =>
+            add(add(delta, walks.terms(o, b(o) + s / walks.walksOf(o).length), 1.0), terms(o), -1.0)
+        })
       }
-      Result(seeds, ests)
+      val (pick, delta) = change
+        .minByOption { case (w, delta) => (cur - finishScaled(score, add(base, delta, 1.0), scale), w) }
+        .getOrElse(((0L until inst.n).filterNot(seeds.contains).head, TreeMap.empty[Int, Double]))
+      seeds :+= pick
+      val newlyCovered = index.getOrElse(pick, Nil).filter(i => !walks.covered(i))
+      newlyCovered.foreach(walks.covered(_) = true)
+      for (o <- newlyCovered.map(walks.obsOf).distinct) {
+        b(o) = walks.estimate(o)
+        terms(o) = walks.terms(o, b(o))
+      }
+      base = add(base, delta, 1.0)
+      ests :+= finishScaled(score, base, scale)
     }
+    Result(seeds, ests)
   }
 }

@@ -86,4 +86,16 @@ class RunningExampleSpec extends SparkSpec {
     val g2 = inst.targetScore(Copeland, Seq(0L, 1L)) - inst.targetScore(Copeland, Seq(0L))
     assert(g1 == 0.0 && g2 == 1.0, "adding user 2 gains more later — not submodular")
   }
+
+  test("a seed outside 0 until n is rejected by every seeded entry point, naming the seed and n") {
+    for (seed <- Seq(4L, -1L)) {
+      val calls: Seq[() => Any] = Seq(() => inst.targetScore(Cumulative, Seq(0L, seed)),
+        () => inst.wins(Plurality(2), Seq(seed)), () => inst.opinions(Seq(seed)),
+        () => inst.targetProfile(Seq(seed)), () => Sandwich.favorableUsers(inst, 1, Seq(seed)))
+      for (call <- calls) {
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"seed $seed") && e.getMessage.contains("[0, 4)"), e.getMessage)
+      }
+    }
+  }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{JobCounter, SparkSpec}
 import repro.expts.{Datasets, RunningExample}
 
 class SandwichSpec extends SparkSpec {
@@ -96,6 +96,16 @@ class SandwichSpec extends SparkSpec {
       .unionByName(fixed).distinct().count()
     assert(seeds.length == 3 && seeds.distinct.length == 3)
     assert(math.abs(ub - union * 0.5) < 1e-9, s"UB $ub vs |N_S ∪ fixed| = $union")
+  }
+
+  test("coverageGreedy submits no stage beyond those of reachWithin") {
+    import spark.implicits._
+    val fixed = Seq(1L, 4L, 7L).toDF("node")
+    rnd.csr // collected before counting
+    val (_, reachJobs, reachStages) =
+      JobCounter.withStages(spark)(GraphOps.reachWithin(spark, rnd.csr, rnd.n, rnd.t).collect())
+    val (_, jobs, stages) = JobCounter.withStages(spark)(Sandwich.coverageGreedy(rnd, fixed, 3, 0.5))
+    assert((jobs, stages) == (reachJobs, reachStages))
   }
 
   test("Sandwich.run rejects k > n") {

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{JobCounter, SparkSpec}
 import repro.baselines.RRSets
 import repro.expts.RunningExample
-import repro.walks.{Methods, WalkGen}
+import repro.walks.{Methods, WalkGen, WalkGreedy}
 
 /** The per-root traversal kernel behind reverse walks, RR sets and t-hop
   * reach: results independent of partitioning, sampling frequencies that
@@ -28,27 +28,48 @@ class TraversalSpec extends SparkSpec {
 
   private def fingerprint(df: DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
 
-  /** Every sampler's output, with starts, roots and edges in `parts`
-    * partitions and `shuffle` shuffle partitions.
-    */
-  private def samples(parts: Int, shuffle: Int): Seq[Seq[String]] = {
+  /** `body` run with `shuffle` shuffle partitions. */
+  private def withShufflePartitions[A](shuffle: Int)(body: => A): A = {
     val key = "spark.sql.shuffle.partitions"
     val saved = spark.conf.get(key)
     spark.conf.set(key, shuffle.toLong)
-    try {
-      val d = Methods.targetStubbornness(rnd)
-      val rw = WalkGen.uniformStarts(spark, rnd.n, 3).repartition(parts)
-      val rs = WalkGen.sketchStarts(spark, rnd.n, 200, 3).repartition(parts)
-      val roots = RRSets.sampleRoots(spark, rnd.n, 200, 4).repartition(parts)
-      val edges = rnd.edges.repartition(parts)
-      Seq(WalkGen.generate(spark, edges, d, rw, 4, 5), WalkGen.generate(spark, edges, d, rs, 4, 6), rs, roots,
-        RRSets.sampleIC(spark, edges, roots, 3, 7), RRSets.sampleLT(spark, edges, roots, 3, 8),
-        GraphOps.reachWithin(spark, edges, rnd.n, 3)).map(fingerprint)
-    } finally spark.conf.set(key, saved)
+    try body finally spark.conf.set(key, saved)
+  }
+
+  /** Every sampler's output, with starts, roots and edges in `parts`
+    * partitions and `shuffle` shuffle partitions.
+    */
+  private def samples(parts: Int, shuffle: Int): Seq[Seq[String]] = withShufflePartitions(shuffle) {
+    val d = Methods.targetStubbornness(rnd)
+    val rw = WalkGen.uniformStarts(spark, rnd.n, 3).repartition(parts)
+    val rs = WalkGen.sketchStarts(spark, rnd.n, 200, 3).repartition(parts)
+    val roots = RRSets.sampleRoots(spark, rnd.n, 200, 4).repartition(parts)
+    val edges = rnd.edges.repartition(parts)
+    Seq(WalkGen.generate(spark, edges, d, rw, 4, 5), WalkGen.generate(spark, edges, d, rs, 4, 6), rs, roots,
+      RRSets.sampleIC(spark, edges, roots, 3, 7), RRSets.sampleLT(spark, edges, roots, 3, 8),
+      GraphOps.reachWithin(spark, edges, rnd.n, 3)).map(fingerprint)
   }
 
   test("walks, RR sets and reach do not depend on partitioning") {
     assert(samples(1, 4) == samples(7, 64))
+  }
+
+  /** RW (cumulative, plurality) and RS (Copeland) greedy runs, with starts
+    * and edges in `parts` partitions and `shuffle` shuffle partitions.
+    */
+  private def greedyRuns(parts: Int, shuffle: Int): Seq[WalkGreedy.Result] = withShufflePartitions(shuffle) {
+    val d = Methods.targetStubbornness(rnd)
+    val edges = rnd.edges.repartition(parts)
+    def run(score: VoteScore, starts: DataFrame, obsIsWalk: Boolean, scale: Double, seed: Long) =
+      WalkGreedy.select(rnd, score, 4, WalkGen.annotate(
+        WalkGen.generate(spark, edges, d, starts.repartition(parts), rnd.t, seed), rnd, obsIsWalk), scale)
+    Seq(run(Cumulative, WalkGen.uniformStarts(spark, rnd.n, 20), false, 1.0, 11),
+      run(Plurality(2), WalkGen.uniformStarts(spark, rnd.n, 20), false, 1.0, 12),
+      run(Copeland, WalkGen.sketchStarts(spark, rnd.n, 600, 13), true, rnd.n / 600.0, 14))
+  }
+
+  test("RW and RS seeds and estimate trajectories do not depend on partitioning") {
+    assert(greedyRuns(1, 4) == greedyRuns(7, 64))
   }
 
   test("a uniform start or root depends on its id only") {

@@ -1,7 +1,7 @@
 package repro.walks
 
 import org.apache.spark.sql.DataFrame
-import repro.SparkSpec
+import repro.{JobCounter, SparkSpec}
 import repro.core._
 import repro.expts.{Datasets, RunningExample}
 
@@ -118,6 +118,16 @@ class WalkGreedySpec extends SparkSpec {
       .agg(avg(when(col("covered"), 1.0).otherwise(col("b0end")))).collect().map(_.getDouble(1))
     assert(perNode.length == nodes.length)
     assert(math.abs(est - 0.75 * perNode.sum) < 1e-12, s"$est vs ${0.75 * perNode.sum}")
+  }
+
+  test("select runs as many Spark jobs for k = 1 as for k = 5: one collect") {
+    val state = WalkGen.annotate(WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd),
+      WalkGen.uniformStarts(spark, rnd.n, 10), rnd.t, 35), rnd, obsIsWalk = false).localCheckpoint(true)
+    rnd.competitors // diffused before counting
+    for (score <- Seq(Cumulative, Copeland)) {
+      def jobs(k: Int) = JobCounter(spark)(WalkGreedy.select(rnd, score, k, state, 1.0))._2
+      assert(Seq(jobs(1), jobs(5)) == Seq(1, 1), score.name)
+    }
   }
 
   test("k validation") {
