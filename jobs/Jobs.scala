@@ -9,61 +9,33 @@ import repro.expts._
   *
   * Each prints the same rendered table as the corresponding bench suite.
   */
-private[jobs] object JobSession {
-  def local(name: String): SparkSession =
-    SparkSession.builder
+private[jobs] abstract class JobSession(name: String, table: SparkSession => String) {
+  def main(args: Array[String]): Unit = {
+    val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", "false")
       .getOrCreate()
+    try println(table(spark)) finally spark.stop()
+  }
 }
 
 /** Table I: running-example scores (exact reproduction). */
-object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local("table1")
-    try println(Table1Exp.run(spark)._1) finally spark.stop()
-  }
-}
+object Table1Job extends JobSession("table1", Table1Exp.run(_)._1)
 
 /** Table II: empirical score-property validation. */
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local("table2")
-    try println(Table2Exp.run(spark)._1) finally spark.stop()
-  }
-}
+object Table2Job extends JobSession("table2", Table2Exp.run(_)._1)
 
 /** Table III: synthetic stand-in dataset characteristics. */
-object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local("table3")
-    try println(Table3Exp.run(spark)._1) finally spark.stop()
-  }
-}
+object Table3Job extends JobSession("table3", Table3Exp.run(_)._1)
 
 /** Tables IV/V: scaled ACM-election case study. */
-object Table4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local("table4")
-    try println(Table4Exp.run(spark).text) finally spark.stop()
-  }
-}
+object Table4Job extends JobSession("table4", Table4Exp.run(_).text)
 
 /** Table VI: minimum seeds to win per method. */
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local("table6")
-    try println(Table6Exp.run(spark)._1) finally spark.stop()
-  }
-}
+object Table6Job extends JobSession("table6", Table6Exp.run(_)._1)
 
 /** Figs 6-8 shape: method comparison across voting scores. */
-object CompareJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local("compare")
-    try println(ComparisonExp.run(spark)._1) finally spark.stop()
-  }
-}
+object CompareJob extends JobSession("compare", ComparisonExp.run(_)._1)

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import java.util.SplittableRandom
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, Instance}
@@ -24,34 +25,36 @@ object RRSets {
 
   /** θ uniform roots `(rr, node)`. */
   def sampleRoots(spark: SparkSession, n: Long, theta: Long, seed: Long): DataFrame =
-    GraphOps.uniformNodes(spark, n, theta, seed).toDF("rr", "node")
+    spark.createDataFrame(GraphOps.uniformNodes(spark.sparkContext, n, theta, seed)).toDF("rr", "node")
 
-  /** IC RR sets `(rr, node)` (roots included). */
+  /** IC RR sets `(rr, node)` (roots included), a local DataFrame. */
   def sampleIC(spark: SparkSession, edges: DataFrame, roots: DataFrame,
-               maxDepth: Int, seed: Long): DataFrame =
-    sample(GraphOps.inCsr(edges), "ic", roots, maxDepth, seed)
+               maxDepth: Int, seed: Long): DataFrame = sampleFrame("ic", edges, roots, maxDepth, seed)
 
   /** LT RR sets `(rr, node)`: reverse paths that end on an edge back to the
-    * path, a self-loop included.
+    * path, a self-loop included; a local DataFrame.
     */
   def sampleLT(spark: SparkSession, edges: DataFrame, roots: DataFrame,
-               maxDepth: Int, seed: Long): DataFrame =
-    sample(GraphOps.inCsr(edges), "lt", roots, maxDepth, seed)
+               maxDepth: Int, seed: Long): DataFrame = sampleFrame("lt", edges, roots, maxDepth, seed)
 
-  /** The RR set `(rr, node)` under `model` of each root, grown over the
-    * in-edges `csr` with the draws of `rr`.
-    */
-  private def sample(csr: GraphOps.InCsr, model: String, roots: DataFrame,
-                     maxDepth: Int, seed: Long): DataFrame = {
+  private def sampleFrame(model: String, edges: DataFrame, roots: DataFrame, maxDepth: Int, seed: Long): DataFrame = {
     import roots.sparkSession.implicits._
+    val rows = roots.select(col("rr").cast("long"), col("node").cast("long")).rdd.map(r => (r.getLong(0), r.getLong(1)))
+    sample(GraphOps.inCsr(edges), model, rows, maxDepth, seed).toSeq.toDF("rr", "node")
+  }
+
+  /** The RR set `(rr, node)` under `model` of each root `(rr, node)`, grown
+    * over the in-edges `csr` with the draws of `rr`, in one job.
+    */
+  private def sample(csr: GraphOps.InCsr, model: String, roots: RDD[(Long, Long)],
+                     maxDepth: Int, seed: Long): Array[(Long, Long)] = {
     val set: (GraphOps.InCsr, Int, SplittableRandom) => Seq[Int] = model match {
       case "ic" => (csr, root, rng) => GraphOps.reverseBfs(csr, root, maxDepth)(e => rng.nextDouble() < csr.w(e))
       case "lt" => (csr, root, rng) => GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
       case other => throw new IllegalArgumentException(s"unknown diffusion model: $other")
     }
-    GraphOps.perRoot(csr, roots.select(col("rr").cast("long"), col("node").cast("long")),
-      "rr", "node") { (csr, r) =>
-      set(csr, r.getLong(1).toInt, GraphOps.draws(seed, r.getLong(0))).iterator.map(v => (r.getLong(0), v.toLong))
+    GraphOps.perRoot(csr, roots) { case (csr, (rr, root)) =>
+      set(csr, root.toInt, GraphOps.draws(seed, rr)).iterator.map(v => (rr, v.toLong))
     }
   }
 
@@ -61,10 +64,13 @@ object RRSets {
   def greedyCover(rrSets: DataFrame, k: Int, n: Long): Seq[Long] =
     GraphOps.maxCoverage(rrSets.select("node", "rr"), k, n).map(_._1)
 
-  /** End-to-end baseline: sample θ RR sets under `model` and pick k seeds. */
+  /** End-to-end baseline: sample θ RR sets under `model` and pick k seeds.
+    * The roots of [[sampleRoots]] are drawn inside the one sampling job;
+    * the greedy runs on the driver.
+    */
   def select(inst: Instance, model: String, k: Int, theta: Long,
              seed: Long = 47): Seq[Long] = {
-    val roots = sampleRoots(inst.edges.sparkSession, inst.n, theta, seed)
-    greedyCover(sample(inst.csr, model, roots, inst.t, seed + 1), k, inst.n)
+    val roots = GraphOps.uniformNodes(inst.edges.sparkSession.sparkContext, inst.n, theta, seed)
+    GraphOps.maxCoverage(sample(inst.csr, model, roots, inst.t, seed + 1).map(_.swap), k, inst.n).map(_._1)
   }
 }

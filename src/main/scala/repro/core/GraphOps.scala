@@ -1,7 +1,9 @@
 package repro.core
 
 import java.util.SplittableRandom
-import org.apache.spark.sql.{DataFrame, Encoder, Row, SparkSession}
+import org.apache.spark.SparkContext
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
@@ -92,20 +94,18 @@ object GraphOps {
     */
   def draws(seed: Long, id: Long): SplittableRandom = new SplittableRandom(XXH64.hashLong(id, seed))
 
-  /** Rows `(id, node)`, `id` in `0 until count`, `node` uniform in `0 until n`. */
-  def uniformNodes(spark: SparkSession, n: Long, count: Long, seed: Long): DataFrame = {
-    val node = udf((id: Long) => draws(seed, id).nextLong(n))
-    spark.range(count).select(col("id"), node(col("id")).as("node"))
-  }
-
-  /** Runs `visit` on each row of `roots` with `shared` broadcast, in one
-    * job; its output, named `cols`, is checkpointed before the broadcast goes.
+  /** Pairs `(id, node)`, `id` in `0 until count`, `node` uniform in `0 until n` from the
+    * draws of `id`: every uniform walk start and RR-set root is drawn here.
     */
-  def perRoot[S: ClassTag, T: ClassTag: Encoder](shared: S, roots: DataFrame, cols: String*)
-                                                (visit: (S, Row) => Iterator[T]): DataFrame = {
-    val bc = roots.sparkSession.sparkContext.broadcast(shared)
-    try roots.sparkSession.createDataset(roots.rdd.mapPartitions(_.flatMap(visit(bc.value, _))))
-      .toDF(cols: _*).localCheckpoint(true)
+  def uniformNodes(sc: SparkContext, n: Long, count: Long, seed: Long): RDD[(Long, Long)] =
+    sc.parallelize(0L until count).map(id => (id, draws(seed, id).nextLong(n)))
+
+  /** Runs `visit` on each root of `roots` with `shared` broadcast, in one
+    * job, and returns its output to the driver in root order.
+    */
+  def perRoot[S: ClassTag, R, T: ClassTag](shared: S, roots: RDD[R])(visit: (S, R) => Iterator[T]): Array[T] = {
+    val bc = roots.sparkContext.broadcast(shared)
+    try roots.mapPartitions(_.flatMap(visit(bc.value, _))).collect()
     finally bc.destroy()
   }
 
@@ -151,13 +151,17 @@ object GraphOps {
   def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame =
     reachWithin(spark, inCsr(edges), n, t)
 
-  /** [[reachWithin]] over the in-edges `csr`. */
+  /** [[reachWithin]] over the in-edges `csr`, a local DataFrame. */
   def reachWithin(spark: SparkSession, csr: InCsr, n: Long, t: Int): DataFrame = {
     import spark.implicits._
-    perRoot(csr, spark.range(n).toDF(), "root", "node") { (csr, r) =>
-      reverseBfs(csr, r.getLong(0).toInt, t)(_ => true).iterator.map(u => (u.toLong, r.getLong(0)))
-    }
+    reach(csr, n, t).toSeq.toDF("root", "node")
   }
+
+  /** [[reachWithin]]'s pairs `(root, node)` over the in-edges `csr`, in one job. */
+  def reach(csr: InCsr, n: Long, t: Int): Array[(Long, Long)] =
+    perRoot(csr, SparkContext.getOrCreate().parallelize(0 until n.toInt)) { (csr, v) =>
+      reverseBfs(csr, v, t)(_ => true).iterator.map(u => (u.toLong, v.toLong))
+    }
 
   /** Greedy maximum coverage over `pairs` `(set, elem)`, whose two columns
     * are a set id in `0 until n` and an element it covers: `k` picks, each
@@ -167,10 +171,14 @@ object GraphOps {
     * covers first). The pairs are collected once; the greedy runs on the
     * driver. Coverage is submodular, so greedy is (1-1/e)-approximate.
     */
-  def maxCoverage(pairs: DataFrame, k: Int, n: Long): Seq[(Long, Long)] = {
+  def maxCoverage(pairs: DataFrame, k: Int, n: Long): Seq[(Long, Long)] =
+    maxCoverage(pairs.toDF("set", "elem").select(col("set").cast("long"), col("elem").cast("long")).collect()
+      .map(r => (r.getLong(0), r.getLong(1))), k, n)
+
+  /** [[maxCoverage]] of pairs `(set, elem)` on the driver. */
+  def maxCoverage(pairs: Iterable[(Long, Long)], k: Int, n: Long): Seq[(Long, Long)] = {
     require(k >= 1 && k <= n, s"k=$k out of range [1, $n]")
-    val elems = pairs.toDF("set", "elem").select(col("set").cast("long"), col("elem").cast("long")).collect()
-      .groupMap(_.getLong(0))(_.getLong(1))
+    val elems = pairs.groupMap(_._1)(_._2)
     val covered = mutable.HashSet.empty[Long]
     var picks = Vector.empty[(Long, Long)]
     for (_ <- 1 to k) {

@@ -7,30 +7,22 @@ import scala.collection.mutable
   * submodular cumulative score (§III-C).
   *
   * Marginal gains for one greedy round are evaluated with a single
-  * scenario-vectorized diffusion ([[OpinionDiffusion.diffuseScenarios]])
-  * instead of one diffusion per candidate seed; each scenario is scored on
-  * the driver.
+  * scenario-vectorized diffusion ([[Instance.targetScores]], one Spark job
+  * whatever `t`) instead of one diffusion per candidate seed; each scenario
+  * is scored on the driver.
   */
 object GreedyDM {
 
   /** Ordered seeds and the exact target score after each pick. */
   final case class Result(seeds: Seq[Long], scores: Seq[Double])
 
-  /** A scenario id outside `0 until n`: it pins no node, so its score is
-    * `F(S)` itself.
-    */
+  /** The scenario that adds no seed: its score is `F(S)` itself. */
   private val NoSeed = -1L
 
-  /** Evaluate `F(S ∪ {w})` for every scenario `w` in `cands`. */
+  /** Evaluate `F(S ∪ {w})` for every scenario `w` in `cands`, in one diffusion. */
   private def scenarioScores(inst: Instance, score: VoteScore, seeds: Seq[Long],
-                             cands: Seq[Long]): Map[Long, Double] = {
-    val (b0, d) = inst.targetDense(seeds)
-    val scen = cands.toArray
-    val ops = OpinionDiffusion.scenarioOpinions(inst.csr, b0, d, scen, inst.t)
-    scen.indices.map { j =>
-      scen(j) -> inst.targetScoreOf(score, Array.tabulate(b0.length)(v => ops(v * scen.length + j)))
-    }.toMap
-  }
+                             cands: Seq[Long]): Map[Long, Double] =
+    cands.zip(inst.targetScores(score, cands.map(w => if (w == NoSeed) seeds else seeds :+ w))).toMap
 
   /** Heap entry: marginal-gain upper bound for `node`, computed in greedy
     * round `round`, i.e. with `round - 1` seeds; it is fresh in that round.

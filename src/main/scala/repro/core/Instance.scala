@@ -48,23 +48,32 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
   /** The target's opinions at the horizon with `seeds`, one per node. */
   private[repro] def targetOpinions(seeds: Seq[Long]): Array[Double] =
     if (seeds.isEmpty) Array.tabulate(dense.n)(v => horizon(v * dense.k + q))
-    else {
-      val (b0, d) = targetDense(seeds)
-      OpinionDiffusion.advance(csr, b0, d, 1, t)
-    }
+    else targetColumns(Seq(seeds))(identity).head
 
-  /** The target's `b0` and `d`, one per node, with `seeds` pinned to 1.
-    * Every seeded entry point pins its seeds here, rejecting any outside `0 until n`.
+  /** `of` the target's opinions at the horizon with each of `seedSets`, one
+    * per node, diffused as the columns of one call: each column is the
+    * seedless `b0` and `d` with its own seeds pinned.
     */
+  private def targetColumns[A](seedSets: Seq[Seq[Long]])(of: Array[Double] => A): Seq[A] = {
+    val k = seedSets.length
+    def spread(base: Array[Double]) = Array.tabulate(dense.n * k)(i => base(i / k * dense.k + q))
+    val (b0, d) = (spread(dense.b0), spread(dense.d))
+    for ((seeds, j) <- seedSets.zipWithIndex) pin(seeds) { s => b0(s * k + j) = 1.0; d(s * k + j) = 1.0 }
+    val b = OpinionDiffusion.advance(csr, b0, d, k, t)
+    (0 until k).map(j => of(Array.tabulate(dense.n)(v => b(v * k + j))))
+  }
+
+  /** The target's `b0` and `d`, one per node, with `seeds` pinned to 1. */
   private[repro] def targetDense(seeds: Seq[Long]): (Array[Double], Array[Double]) = {
     val b0 = Array.tabulate(dense.n)(v => dense.b0(v * dense.k + q))
     val d = Array.tabulate(dense.n)(v => dense.d(v * dense.k + q))
-    for (s <- seeds) {
-      require(s >= 0 && s < n, s"seed $s out of range [0, $n)")
-      b0(s.toInt) = 1.0; d(s.toInt) = 1.0
-    }
+    pin(seeds) { s => b0(s) = 1.0; d(s) = 1.0 }
     (b0, d)
   }
+
+  /** Runs `set` on each of `seeds`, rejecting any outside `0 until n`: every seeded entry point pins here. */
+  private def pin(seeds: Seq[Long])(set: Int => Unit): Unit =
+    seeds.foreach { s => require(s >= 0 && s < n, s"seed $s out of range [0, $n)"); set(s.toInt) }
 
   /** Node-major opinions of every candidate at the horizon with `seeds`
     * for `q`.
@@ -103,6 +112,10 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
 
   /** Exact target score at the horizon given `seeds`. */
   def targetScore(score: VoteScore, seeds: Seq[Long]): Double = targetScoreOf(score, targetOpinions(seeds))
+
+  /** [[targetScore]] of each of `seedSets`, diffused together in one call. */
+  def targetScores(score: VoteScore, seedSets: Seq[Seq[Long]]): Seq[Double] =
+    targetColumns(seedSets)(targetScoreOf(score, _))
 
   /** Problem 2 winning test: target's score strictly exceeds every
     * competitor's score at the horizon (Eq 9). Every candidate is scored

@@ -10,14 +10,15 @@ import org.apache.spark.sql.functions._
   * Both kernels advance `k` opinion vectors over the `n` nodes together:
   * one per candidate in [[diffuse]], one per candidate seed in
   * [[diffuseScenarios]]. Each call collects the edges into the in-edge CSR
-  * ([[GraphOps.inCsr]]), checks it once ([[GraphOps.edgeDefect]]) and
-  * broadcasts it. Each FJ timestep broadcasts the current `n × k` opinions
-  * and runs one job that maps node ranges to every node's weighted
-  * in-neighbour sums `wsum`; the driver then applies
-  * `b = (1 − d)·wsum + d·b0`. A node sums its in-edges in ascending `src`
-  * order, so results do not depend on partitioning. The result is a local
-  * DataFrame with no lineage. [[Instance]] collects its profile ([[Dense]])
-  * and its CSR once and calls the step loop on them directly.
+  * ([[GraphOps.inCsr]]) and checks it once ([[GraphOps.edgeDefect]]). The
+  * step loop ([[advance]]) then broadcasts the CSR with the initial
+  * opinions and stubbornness and runs one Spark job: each task takes a
+  * disjoint slice of the `k` vectors through all `t` steps,
+  * `b = (1 − d)·wsum + d·b0`, where `wsum` is a node's weighted
+  * in-neighbour sum in ascending `src` order, so results do not depend on
+  * partitioning or on the slicing. The result is a local DataFrame with no
+  * lineage. [[Instance]] collects its profile ([[Dense]]) and its CSR once
+  * and calls the step loop on them directly.
   *
   * Seeding a node `s` for candidate `q` sets `b0 = 1` and `d = 1` for
   * `(s, q)` (§II-C), freezing its opinion about `q` at 1.
@@ -29,21 +30,6 @@ import org.apache.spark.sql.functions._
   * other with an `IllegalArgumentException`.
   */
 object OpinionDiffusion {
-
-  /** Profile `(node, cand, b0, d)` with seed set `seeds` applied for
-    * candidate `q`: seeded rows get `b0 = 1, d = 1`.
-    */
-  def applySeeds(profile: DataFrame, q: Int, seeds: Seq[Long]): DataFrame = {
-    if (seeds.isEmpty) profile
-    else {
-      val isSeed = col("cand") === q && col("node").isInCollection(seeds)
-      profile.select(
-        col("node"), col("cand"),
-        when(isSeed, lit(1.0)).otherwise(col("b0")).as("b0"),
-        when(isSeed, lit(1.0)).otherwise(col("d")).as("d"),
-      )
-    }
-  }
 
   /** Exact opinions `(node, cand, b)` of every user about every candidate at
     * horizon `t`, given normalized edges and profile `(node, cand, b0, d)`.
@@ -74,24 +60,12 @@ object OpinionDiffusion {
       .map(r => (r.getLong(0), 0, r.getDouble(1), r.getDouble(2)))
     val p = dense(rows, 1, (v, _) => s"(node=$v)")
     val scen = scenarios.select(col("scen").cast("long")).collect().map(_.getLong(0))
-    val b = scenarioOpinions(GraphOps.inCsr(edges), p.b0, p.d, scen, t)
-    val spark = edges.sparkSession
-    import spark.implicits._
-    (for (v <- 0 until p.n; j <- scen.indices) yield (scen(j), v.toLong, b(v * scen.length + j)))
-      .toDF("scen", "node", "b")
-  }
-
-  /** [[diffuseScenarios]] on the target's dense profile `b0`, `d` (one entry
-    * per node): node-major opinions, entry `v * scen.length + j` for
-    * scenario `j`.
-    */
-  private[core] def scenarioOpinions(csr: GraphOps.InCsr, b0: Array[Double], d: Array[Double],
-                                     scen: Array[Long], t: Int): Array[Double] = {
     val k = scen.length
     // Scenario j pins its own node: b0 = d = 1 there.
-    def pinned(base: Array[Double])(i: Int): Double =
-      if (scen(i % k) == i / k) 1.0 else base(i / k)
-    advance(csr, Array.tabulate(b0.length * k)(pinned(b0)), Array.tabulate(b0.length * k)(pinned(d)), k, t)
+    def pinned(base: Array[Double]) = Array.tabulate(p.n * k)(i => if (scen(i % k) == i / k) 1.0 else base(i / k))
+    val b = advance(GraphOps.inCsr(edges), pinned(p.b0), pinned(p.d), k, t)
+    import edges.sparkSession.implicits._
+    (for (v <- 0 until p.n; j <- scen.indices) yield (scen(j), v.toLong, b(v * k + j))).toDF("scen", "node", "b")
   }
 
   /** A checked profile on the driver: node-major `b0` and `d` (entry
@@ -145,28 +119,38 @@ object OpinionDiffusion {
 
   /** `t` FJ steps of the `k` node-major opinion vectors with initial
     * opinions `b0` and stubbornness `d` over the in-edges `csr`, which are
-    * checked once ([[GraphOps.edgeDefect]]); one Spark job per step.
+    * checked once ([[GraphOps.edgeDefect]]), in one Spark job: `(csr, b0, d)`
+    * is broadcast and each of `min(k, defaultParallelism)` tasks runs every
+    * step on its own contiguous slice of the vectors.
     */
   private[core] def advance(csr: GraphOps.InCsr, b0: Array[Double], d: Array[Double],
                             k: Int, t: Int): Array[Double] = {
     if (k == 0) return b0
     val n = b0.length / k
     GraphOps.edgeDefect(csr, n).foreach(msg => throw new IllegalArgumentException(msg))
+    if (t == 0) return b0
     val sc = SparkContext.getOrCreate()
-    val bcCsr = sc.broadcast(csr)
-    try {
-      var b = b0
+    val shared = sc.broadcast((csr, b0, d))
+    val slices = math.min(k, sc.defaultParallelism)
+    val parts = try sc.parallelize(0 until slices, slices).map { part =>
+      // Vectors lo until lo + m, held slice-major: entry v * m + j is vector lo + j at node v.
+      val (csr, b0, d) = shared.value
+      val (lo, m) = (part * k / slices, (part + 1) * k / slices - part * k / slices)
+      var b = Array.tabulate(n * m)(i => b0(i / m * k + lo + i % m))
       for (_ <- 1 to t) {
-        val bc = sc.broadcast(b)
-        val sums = try sc.parallelize(0 until n).map { v =>
-          // Node v's in-neighbour sums Σ w·b(src) of the k vectors, sources ascending.
-          val (csr, b, s) = (bcCsr.value, bc.value, new Array[Double](k))
-          for (e <- csr.in(v); j <- 0 until k) s(j) += b(csr.src(e) * k + j) * csr.w(e)
-          s
-        }.collect() finally bc.destroy()
-        b = Array.tabulate(n * k)(i => (1.0 - d(i)) * sums(i / k)(i % k) + d(i) * b0(i))
+        val next = new Array[Double](n * m)
+        for (v <- 0 until n) {
+          // Node v's in-neighbour sums Σ w·b(src) of the slice's vectors, sources ascending.
+          val s = new Array[Double](m)
+          for (e <- csr.in(v); j <- 0 until m) s(j) += b(csr.src(e) * m + j) * csr.w(e)
+          for (j <- 0 until m; i = v * k + lo + j) next(v * m + j) = (1.0 - d(i)) * s(j) + d(i) * b0(i)
+        }
+        b = next
       }
-      b
-    } finally bcCsr.destroy()
+      (lo, b)
+    }.collect() finally shared.destroy()
+    val out = new Array[Double](n * k)
+    for ((lo, b) <- parts; m = b.length / n; i <- b.indices) out(i / m * k + lo + i % m) = b(i)
+    out
   }
 }

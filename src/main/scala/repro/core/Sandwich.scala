@@ -49,14 +49,12 @@ object Sandwich {
   /** Greedy maximization of `factor * |N_S ∪ fixed|` — a max coverage
     * ([[GraphOps.maxCoverage]]) of the users outside `fixed` by the t-hop
     * reach sets. `fixed` is collected once; its users are filtered out of
-    * the reach pairs before they are collected. Returns the seeds and the
-    * exact UB value of the returned set.
+    * the reach pairs, which one Spark job returns to the driver. Returns the
+    * seeds and the exact UB value of the returned set.
     */
   def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) = {
     val users = fixed.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet
-    val reach = GraphOps.reachWithin(inst.edges.sparkSession, inst.csr, inst.n, inst.t)
-    val uncovered = reach.filter(!col("node").isInCollection(users)).select("root", "node")
-    val picks = GraphOps.maxCoverage(uncovered, k, inst.n)
+    val picks = GraphOps.maxCoverage(GraphOps.reach(inst.csr, inst.n, inst.t).filterNot(p => users(p._2)), k, inst.n)
     (picks.map(_._1), (users.size + picks.map(_._2).sum) * factor)
   }
 
@@ -86,7 +84,7 @@ object Sandwich {
                      options: Seq[(String, Seq[Long])],
                      sU: Seq[Long], sL: Option[Seq[Long]], sF: Seq[Long],
                      ubU: Double): Result = {
-    val scored = options.map { case (nm, s) => (nm, s, inst.targetScore(score, s)) }
+    val scored = options.zip(inst.targetScores(score, options.map(_._2))).map { case ((nm, s), f) => (nm, s, f) }
     val (nm, s, f) = scored.maxBy(_._3)
     val fU = scored.find(_._1 == "S_U").get._3
     Result(s, nm, f, sU, sL, sF, if (ubU > 0) fU / ubU else 1.0)

@@ -44,9 +44,9 @@ object Harness {
       MethodRun(m, seeds, ms)
     }
 
-  /** Exact score of the target with each method's seeds. */
+  /** Exact score of the target with each method's seeds, diffused together. */
   def evaluate(inst: Instance, runs: Seq[MethodRun], score: VoteScore): Seq[(String, Double, Long)] =
-    runs.map(r => (r.method, inst.targetScore(score, r.seeds), r.millis))
+    runs.zip(inst.targetScores(score, runs.map(_.seeds))).map { case (r, f) => (r.method, f, r.millis) }
 
   /** Fixed-width table renderer used by benches and jobs. */
   def render(title: String, headers: Seq[String], rows: Seq[Seq[String]]): String = {

@@ -29,6 +29,7 @@ object Table4Exp {
 
   def run(spark: SparkSession, n: Long = 1200, m: Long = 9600,
           k: Int = 25, t: Int = 10, lambda: Int = 20, seed: Long = 601): Out = {
+    import spark.implicits._
     val domains = SynthSocial.domains(spark, n, 7, seed).localCheckpoint(true)
     val edges = GraphOps.normalize(spark, SynthSocial.rawEdges(spark, n, m, seed + 1), n)
       .localCheckpoint(true)
@@ -46,8 +47,7 @@ object Table4Exp {
     // switched users within the seed's t-hop reach, grouped by domain.
     val switched = after.join(before, Seq("node"), "left_anti").localCheckpoint(true)
     val top10 = seeds.take(10)
-    val reach = GraphOps.reachWithin(spark, inst.csr, n, t)
-      .filter(col("root").isInCollection(top10)).localCheckpoint(true)
+    val reach = GraphOps.reach(inst.csr, n, t).filter(p => top10.contains(p._1)).toSeq.toDF("root", "node")
     val domTotals = domains.groupBy("domain").agg(count(lit(1)).as("tot"))
       .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
     val seedDomain = reach.join(switched, Seq("node"))

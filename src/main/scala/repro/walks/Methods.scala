@@ -1,5 +1,6 @@
 package repro.walks
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.core._
 
@@ -24,12 +25,13 @@ object Methods {
          lambdaOverride: Option[Int] = None, lambdaCap: Int = 2000): WalkGreedy.Result = {
     require(lambdaOverride.forall(_ >= 1) && lambdaCap >= 1,
       s"walks per node must be >= 1, got override $lambdaOverride and cap $lambdaCap")
-    val spark = inst.edges.sparkSession
-    val starts = lambdaOverride.orElse(Option.when(score == Cumulative)(
+    val lams = lambdaOverride.orElse(Option.when(score == Cumulative)(
       math.min(lambdaCap, Bounds.lambdaCumulative(delta, rho)))) match {
-      case Some(lam) => WalkGen.uniformStarts(spark, inst.n, lam)
-      case None => WalkGen.startsPerNode(spark, Bounds.lambdaPerNode(inst, rho, lambdaCap = lambdaCap))
+      case Some(lam) => (0L until inst.n).map(_ -> lam.toLong)
+      case None => Bounds.lambdaPerNode(inst, rho, lambdaCap = lambdaCap).collect()
+        .map(r => (r.getLong(0), r.getLong(1))).toSeq
     }
+    val starts = inst.edges.sparkSession.sparkContext.parallelize(lams).flatMap((WalkGen.nodeStarts _).tupled)
     walkGreedy(inst, score, k, starts, seed, obsIsWalk = false, scale = 1.0)
   }
 
@@ -42,7 +44,6 @@ object Methods {
          thetaOverride: Option[Long] = None, thetaCap: Long = 200000L): WalkGreedy.Result = {
     require(thetaOverride.forall(_ >= 1) && thetaCap >= 1,
       s"sketch count must be >= 1, got override $thetaOverride and cap $thetaCap")
-    val spark = inst.edges.sparkSession
     val theta = thetaOverride.getOrElse {
       score match {
         case Cumulative =>
@@ -51,15 +52,18 @@ object Methods {
         case _ => thetaCap
       }
     }
-    walkGreedy(inst, score, k, WalkGen.sketchStarts(spark, inst.n, theta, seed), seed + 1,
-      obsIsWalk = true, scale = inst.n.toDouble / theta)
+    val starts = GraphOps.uniformNodes(inst.edges.sparkSession.sparkContext, inst.n, theta, seed)
+    walkGreedy(inst, score, k, starts, seed + 1, obsIsWalk = true, scale = inst.n.toDouble / theta)
   }
 
-  /** Walk greedy over one walk per row of `starts`. */
-  private def walkGreedy(inst: Instance, score: VoteScore, k: Int, starts: DataFrame, seed: Long,
+  /** Walk greedy over one walk per start `(wid, start)`, generated and
+    * collected in one Spark job and annotated on the driver.
+    */
+  private def walkGreedy(inst: Instance, score: VoteScore, k: Int, starts: RDD[(Long, Long)], seed: Long,
                          obsIsWalk: Boolean, scale: Double): WalkGreedy.Result = {
-    val walks = WalkGen.generate(inst.csr, inst.targetDense(Nil)._2, starts, inst.t, seed)
-    WalkGreedy.select(inst, score, k, WalkGen.annotate(walks, inst, obsIsWalk), scale)
+    val (b0, d) = inst.targetDense(Nil)
+    val walks = WalkGen.walks(inst.csr, d, starts, inst.t, seed).map(WalkGen.annotated(_, b0, obsIsWalk))
+    WalkGreedy.select(inst, score, k, walks.toSeq, scale)
   }
 
   /** Target candidate's stubbornness `(node, d)` with no seeds applied —

@@ -1,5 +1,6 @@
 package repro.walks
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, Instance}
@@ -22,41 +23,48 @@ import repro.core.{GraphOps, Instance}
   */
 object WalkGen {
 
-  /** Generate one walk per row of `starts` (`(wid, start)`), horizon `t`.
+  /** Generate one walk per row of `starts` (`(wid, start)`), horizon `t`,
+    * as a local DataFrame.
     *
     * Walks at a node whose only in-edge is the normalization self-loop are
     * ended immediately — such a node's opinion never changes (§II-A).
     */
   def generate(spark: SparkSession, edges: DataFrame, targetStubbornness: DataFrame,
                starts: DataFrame, t: Int, seed: Long): DataFrame = {
+    import spark.implicits._
     val csr = GraphOps.inCsr(edges)
     val d = new Array[Double](csr.off.length - 1)
     targetStubbornness.select(col("node").cast("int"), col("d").cast("double")).collect()
       .foreach(r => d(r.getInt(0)) = r.getDouble(1))
-    generate(csr, d, starts, t, seed)
+    walks(csr, d, starts.select(col("wid").cast("long"), col("start").cast("long")).rdd
+      .map(r => (r.getLong(0), r.getLong(1))), t, seed)
+      .toSeq.map { case (wid, start, path) => (wid, start, path, path.last) }.toDF("wid", "start", "path", "end")
   }
 
-  /** [[generate]] over the in-edges `csr` with stubbornness `d(v)` at node `v`. */
-  def generate(csr: GraphOps.InCsr, d: Array[Double], starts: DataFrame, t: Int, seed: Long): DataFrame = {
-    import starts.sparkSession.implicits._
-    GraphOps.perRoot((csr, d), starts.select(col("wid").cast("long"), col("start").cast("long")),
-      "wid", "start", "path", "end") { case ((csr, d), r) =>
-      val path = GraphOps.reverseWalk(csr, r.getLong(1).toInt, t, d(_), GraphOps.draws(seed, r.getLong(0)),
-        simple = false)
-      Iterator((r.getLong(0), r.getLong(1), path.map(_.toLong), path.last.toLong))
-    }
-  }
-
-  /** RW starts: `lambda(v)` walk rows per node `v`. `lambdas` is
-    * `(node, lam)`, each `lam >= 1`; walk `rep` of node `v` has id
-    * `v · 2^32 + rep`.
+  /** The walk `(wid, start, path)` of each start `(wid, start)`, over the
+    * in-edges `csr` with stubbornness `d(v)` at node `v` and horizon `t`,
+    * in one job; walk `wid` draws from `GraphOps.draws(seed, wid)`.
     */
+  private[walks] def walks(csr: GraphOps.InCsr, d: Array[Double], starts: RDD[(Long, Long)], t: Int,
+                           seed: Long): Array[(Long, Long, Seq[Long])] =
+    GraphOps.perRoot((csr, d), starts) { case ((csr, d), (wid, start)) =>
+      val path = GraphOps.reverseWalk(csr, start.toInt, t, d(_), GraphOps.draws(seed, wid), simple = false)
+      Iterator((wid, start, path.map(_.toLong)))
+    }
+
+  /** The RW starts `(wid, start)` of node `v` with `lam >= 1` walks: walk
+    * `rep` of `v` has id `v · 2^32 + rep`.
+    */
+  def nodeStarts(v: Long, lam: Long): Seq[(Long, Long)] = {
+    require(lam >= 1, s"walk count lam must be >= 1, got $lam for node $v")
+    (1L to lam).map(rep => ((v << 32) + rep, v))
+  }
+
+  /** RW starts: the [[nodeStarts]] of each row `(node, lam)` of `lambdas`. */
   def startsPerNode(spark: SparkSession, lambdas: DataFrame): DataFrame = {
-    val lam = when(col("lam") >= 1, col("lam").cast("int")).otherwise(raise_error(
-      concat(lit("walk count lam must be >= 1, got "), col("lam"), lit(" for node "), col("node"))))
-    lambdas
-      .select(col("node").cast("long").as("start"), explode(sequence(lit(1), lam)).as("rep"))
-      .select((shiftleft(col("start"), 32) + col("rep")).as("wid"), col("start"))
+    import spark.implicits._
+    lambdas.select(col("node").cast("long"), col("lam").cast("long")).as[(Long, Long)]
+      .flatMap((nodeStarts _).tupled).toDF("wid", "start")
   }
 
   /** RW starts with a uniform walk count per node. */
@@ -66,25 +74,31 @@ object WalkGen {
   }
 
   /** RS starts (Alg 5): `theta` start nodes sampled uniformly at random with
-    * replacement; each sample is one observation with a single walk.
+    * replacement ([[GraphOps.uniformNodes]]); each sample is one observation
+    * with a single walk.
     */
   def sketchStarts(spark: SparkSession, n: Long, theta: Long, seed: Long): DataFrame =
-    GraphOps.uniformNodes(spark, n, theta, seed).toDF("wid", "start")
+    spark.createDataFrame(GraphOps.uniformNodes(spark.sparkContext, n, theta, seed)).toDF("wid", "start")
+
+  /** A walk of the greedy's working set, as [[annotate]] builds it. */
+  final case class Annotated(wid: Long, obs: Long, start: Long, path: Seq[Long], b0end: Double, covered: Boolean)
+
+  /** Walk `(wid, start, path)` as [[annotate]] annotates it, reading `b0` of its end node. */
+  private[walks] def annotated(walk: (Long, Long, Seq[Long]), b0: Array[Double], obsIsWalk: Boolean): Annotated =
+    Annotated(walk._1, if (obsIsWalk) walk._1 else walk._2, walk._2, walk._3, b0(walk._3.last.toInt), covered = false)
 
   /** Annotate generated walks with the target candidate's initial opinion of
-    * each walk's end node, read from the instance's dense profile, producing
-    * the greedy working set `(wid, obs, start, path, b0end, covered=false)`
-    * in one job.
+    * each walk's end node, read from the instance's dense profile on the
+    * driver, producing the greedy working set
+    * `(wid, obs, start, path, b0end, covered=false)` as a local DataFrame.
     *
     * @param obsIsWalk RS keys observations by walk id (λ=1 per sample);
     *                  RW keys them by start node (λ_v walks averaged).
     */
   def annotate(walks: DataFrame, inst: Instance, obsIsWalk: Boolean): DataFrame = {
     import walks.sparkSession.implicits._
-    GraphOps.perRoot(inst.targetDense(Nil)._1, walks.select("wid", "start", "path", "end"),
-      "wid", "obs", "start", "path", "b0end", "covered") { (b0, r) =>
-      Iterator((r.getLong(0), r.getLong(if (obsIsWalk) 0 else 1), r.getLong(1), r.getSeq[Long](2),
-        b0(r.getLong(3).toInt), false))
-    }
+    val b0 = inst.targetDense(Nil)._1
+    walks.select(col("wid").cast("long"), col("start").cast("long"), col("path")).collect()
+      .map(r => annotated((r.getLong(0), r.getLong(1), r.getSeq[Long](2)), b0, obsIsWalk)).toSeq.toDF()
   }
 }

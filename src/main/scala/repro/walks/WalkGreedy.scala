@@ -1,6 +1,6 @@
 package repro.walks
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 import repro.core._
 import scala.collection.immutable.TreeMap
@@ -19,8 +19,8 @@ import scala.collection.immutable.TreeMap
   * is computable for *all* candidates in one scan: every not-yet-covered
   * walk whose path contains `w` would jump from `b0(end)` to 1.
   *
-  * The annotated walks are collected once and every round runs on the
-  * driver, over an index from each node to the walks whose path holds it.
+  * The annotated walks reach the driver once and every round runs there,
+  * over an index from each node to the walks whose path holds it.
   * Ranking-based scores additionally use the competitors' exact horizon
   * opinions, computed once by direct matrix-vector multiplication (§V-B):
   * each observation is one voter of the score's [[VoteScore.voterTerms]].
@@ -36,30 +36,33 @@ object WalkGreedy {
     else state.withColumn("covered",
       col("covered") || arrays_overlap(col("path"), array(seeds.map(lit): _*)))
 
-  /** The annotated walks of `state`, collected in one job and sorted by
-    * `wid`, and their observations in ascending `obs` order. Each
-    * observation is one voter of the score: its start node, at the mean of
-    * its walks' values (1 if covered, else `b0end`) summed in `wid` order,
-    * against the competitor opinions `comp` of that node (ranked scores only).
+  /** The annotated walks `rows` sorted by `wid`, and their observations in
+    * ascending `obs` order. Each observation is one voter of the score: its
+    * start node, at the mean of its walks' values (1 if covered, else
+    * `b0end`) summed in `wid` order, against the competitor opinions `comp`
+    * of that node (ranked scores only).
     */
-  private final class Walks(state: DataFrame, score: VoteScore, comp: Long => Array[Double]) {
-    private val rows = state.select(col("wid").cast("long"), col("obs").cast("long"), col("start").cast("long"),
-      col("path"), col("b0end").cast("double"), col("covered")).collect().sortBy(_.getLong(0))
-    val path: Array[Array[Long]] = rows.map(_.getSeq[Long](3).distinct.toArray)
-    val b0end: Array[Double] = rows.map(_.getDouble(4))
-    val covered: Array[Boolean] = rows.map(_.getBoolean(5))
-    val walksOf: Array[Array[Int]] = rows.indices.toArray.groupBy(rows(_).getLong(1)).toArray.sortBy(_._1).map(_._2)
-    val obsOf: Array[Int] = new Array[Int](rows.length)
+  private final class Walks(rows: Seq[WalkGen.Annotated], score: VoteScore, comp: Long => Array[Double]) {
+    private val walks = rows.sortBy(_.wid).toArray
+    val path: Array[Array[Long]] = walks.map(_.path.distinct.toArray)
+    val b0end: Array[Double] = walks.map(_.b0end)
+    val covered: Array[Boolean] = walks.map(_.covered)
+    val walksOf: Array[Array[Int]] = walks.indices.toArray.groupBy(walks(_).obs).toArray.sortBy(_._1).map(_._2)
+    val obsOf: Array[Int] = new Array[Int](walks.length)
     for (o <- walksOf.indices; i <- walksOf(o)) obsOf(i) = o
 
     def estimate(o: Int): Double = walksOf(o).map(i => if (covered(i)) 1.0 else b0end(i)).sum / walksOf(o).length
 
     /** The score's terms of observation `o` at estimate `b`. */
     def terms(o: Int, b: Double): Seq[(Int, Double)] = {
-      val node = rows(walksOf(o).head).getLong(2)
+      val node = walks(walksOf(o).head).start
       score.voterTerms(node, b, if (score.ranked) comp(node) else Array.emptyDoubleArray)
     }
   }
+
+  /** The annotated walks of `state`, collected. */
+  private def collected(state: DataFrame): Seq[WalkGen.Annotated] = state
+    .select("wid", "obs", "start", "path", "b0end", "covered").as(Encoders.product[WalkGen.Annotated]).collect().toSeq
 
   /** `totals` plus `sgn` times each term `(part, v)`. */
   private def add(totals: TreeMap[Int, Double], terms: Iterable[(Int, Double)], sgn: Double): TreeMap[Int, Double] =
@@ -76,7 +79,7 @@ object WalkGreedy {
   def scoreEstimate(state: DataFrame, score: VoteScore, compOps: => DataFrame,
                     scale: Double): Double = {
     lazy val byNode = VoteScore.competitorsByNode(compOps)
-    val walks = new Walks(state, score, v => byNode.getOrElse(v, Array.emptyDoubleArray))
+    val walks = new Walks(collected(state), score, v => byNode.getOrElse(v, Array.emptyDoubleArray))
     finishScaled(score, walks.walksOf.indices.foldLeft(TreeMap.empty[Int, Double]) { (t, o) =>
       add(t, walks.terms(o, walks.estimate(o)), 1.0)
     }, scale)
@@ -92,12 +95,17 @@ object WalkGreedy {
     * the gain of `w` is the exact change of the estimate,
     * `finish(scale·(base + Δw)) − finish(scale·base)`, ties to the smaller
     * id. The picked node's walks are marked covered and its `Δw` is added to
-    * the totals. One Spark job collects the walks, whatever `k`.
+    * the totals. Every round runs on the driver.
     */
   def select(inst: Instance, score: VoteScore, k: Int,
-             annotatedWalks: DataFrame, scale: Double): Result = {
+             annotatedWalks: DataFrame, scale: Double): Result =
+    select(inst, score, k, collected(annotatedWalks), scale)
+
+  /** [[select]] over the annotated walks `rows`. */
+  def select(inst: Instance, score: VoteScore, k: Int,
+             rows: Seq[WalkGen.Annotated], scale: Double): Result = {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
-    val walks = new Walks(annotatedWalks, score, v => inst.competitors(v.toInt))
+    val walks = new Walks(rows, score, v => inst.competitors(v.toInt))
     val b = Array.tabulate(walks.walksOf.length)(walks.estimate)
     val terms = Array.tabulate(b.length)(o => walks.terms(o, b(o)))
     val index = walks.path.indices.flatMap(i => walks.path(i).map(_ -> i)).groupMap(_._1)(_._2)

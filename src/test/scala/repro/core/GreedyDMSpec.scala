@@ -16,6 +16,17 @@ class GreedyDMSpec extends SparkSpec {
     assert(r.seeds.forall(s => s >= 0 && s < rnd.n))
   }
 
+  test("GreedyDM.select runs as many Spark jobs at t = 1 as at t = 8, plain and CELF") {
+    for (celf <- Seq(false, true)) {
+      def jobs(t: Int) = {
+        val i = rnd.copy(t = t)
+        i.targetScore(Cumulative, Nil) // collects the profile and the CSR, diffuses the horizon
+        JobCounter(spark)(GreedyDM.select(i, Cumulative, 2, celf = celf))._2
+      }
+      assert(jobs(1) == jobs(8), s"celf=$celf: t=1 ${jobs(1)} jobs, t=8 ${jobs(8)} jobs")
+    }
+  }
+
   test("k is validated") {
     intercept[IllegalArgumentException](GreedyDM.select(rnd, Cumulative, 0))
     intercept[IllegalArgumentException](GreedyDM.select(rnd, Cumulative, 25))

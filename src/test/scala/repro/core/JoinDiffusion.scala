@@ -4,12 +4,27 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** The DataFrame FJ kernels that [[OpinionDiffusion]] replaced, kept as a
-  * test reference: one FJ timestep is one join with the edge list plus a
+  * test reference, with the DataFrame seed application they used: one FJ timestep is one join with the edge list plus a
   * groupBy, the DataFrame rendering of a sparse matrix–vector product.
   * Every step is checkpointed, because reusing `edges` across steps without
   * a checkpoint trips Spark's ambiguous-self-join detection.
   */
 object JoinDiffusion {
+
+  /** Profile `(node, cand, b0, d)` with seed set `seeds` applied for
+    * candidate `q`: seeded rows get `b0 = 1, d = 1`.
+    */
+  def applySeeds(profile: DataFrame, q: Int, seeds: Seq[Long]): DataFrame = {
+    if (seeds.isEmpty) profile
+    else {
+      val isSeed = col("cand") === q && col("node").isInCollection(seeds)
+      profile.select(
+        col("node"), col("cand"),
+        when(isSeed, lit(1.0)).otherwise(col("b0")).as("b0"),
+        when(isSeed, lit(1.0)).otherwise(col("d")).as("d"),
+      )
+    }
+  }
 
   /** Exact opinions `(node, cand, b)` of every user about every candidate at
     * horizon `t`, given normalized edges and profile `(node, cand, b0, d)`.

@@ -70,7 +70,7 @@ class OpinionDiffusionSpec extends SparkSpec {
   }
 
   test("applySeeds pins b0 and d to 1 for the target only") {
-    val p = OpinionDiffusion.applySeeds(inst.profile, q = 0, seeds = Seq(2L)).collect()
+    val p = JoinDiffusion.applySeeds(inst.profile, q = 0, seeds = Seq(2L)).collect()
       .map(r => (r.getLong(0), r.getInt(1)) -> (r.getDouble(2), r.getDouble(3))).toMap
     assert(p((2L, 0)) == ((1.0, 1.0)))
     assert(p((2L, 1)) == ((0.78, 1.0))) // competitor row untouched
@@ -157,7 +157,7 @@ class OpinionDiffusionSpec extends SparkSpec {
 
   test("diffuse agrees with the join+groupBy kernel it replaced, with and without seeds") {
     for (seeds <- Seq(Nil, Seq(3L, 17L))) {
-      val prof = OpinionDiffusion.applySeeds(rnd.profile, rnd.q, seeds)
+      val prof = JoinDiffusion.applySeeds(rnd.profile, rnd.q, seeds)
       assertClose(rowsOf(OpinionDiffusion.diffuse(rnd.edges, prof, rnd.t)),
         rowsOf(JoinDiffusion.diffuse(rnd.edges, prof, rnd.t)))
     }
@@ -176,7 +176,7 @@ class OpinionDiffusionSpec extends SparkSpec {
       Seq(5L, -1L, rnd.n).toDF("scen"), rnd.t).filter(col("scen") =!= 5L)
       .collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
     val want = opinionMap(OpinionDiffusion.diffuse(rnd.edges,
-      OpinionDiffusion.applySeeds(rnd.profile, rnd.q, seeds), rnd.t), rnd.q)
+      JoinDiffusion.applySeeds(rnd.profile, rnd.q, seeds), rnd.t), rnd.q)
     assert(noSeed.size == 2 * rnd.n)
     for (scen <- Seq(-1L, rnd.n); v <- 0L until rnd.n)
       assert(math.abs(noSeed((scen, v)) - want(v)) < 1e-12, s"scenario $scen node $v")
@@ -252,11 +252,36 @@ class OpinionDiffusionSpec extends SparkSpec {
     assert(jobs <= rnd.t + 2, s"$jobs jobs")
   }
 
-  test("a seeded targetScore runs exactly t one-stage jobs once the instance's CSR exists") {
+  test("a seeded targetScore runs exactly one one-stage job once the instance's CSR exists") {
     val i = rnd.copy(t = 3)
     i.targetScore(Cumulative, Nil) // collects the profile and the CSR, diffuses the horizon
     val (_, jobs, stages) = JobCounter.withStages(spark)(i.targetScore(Cumulative, Seq(3L, 17L)))
-    assert(jobs == i.t && stages == i.t, s"$jobs jobs, $stages stages")
+    assert(jobs == 1 && stages == 1, s"$jobs jobs, $stages stages")
+  }
+
+  test("a seeded wins runs as many Spark jobs at t = 1 as at t = 8") {
+    def jobs(t: Int) = {
+      val i = rnd.copy(t = t)
+      i.targetScore(Cumulative, Nil) // collects the profile and the CSR, diffuses the horizon
+      JobCounter(spark)(i.wins(Plurality(rnd.r), Seq(3L, 17L)))._2
+    }
+    assert(jobs(1) == jobs(8), s"t=1: ${jobs(1)} jobs, t=8: ${jobs(8)} jobs")
+  }
+
+  test("advance is bit-identical to the per-step kernel it replaced, for 1, r and n + 1 vectors") {
+    for (i <- Seq(inst, rnd); t <- Seq(0, 1, 2, 8)) {
+      val p = OpinionDiffusion.Dense(i.profile)
+      val (b0, d) = i.targetDense(Seq(1L))
+      // Scenarios 0 until n, each pinning its node, and one that pins none.
+      val scen = (0L until i.n) :+ -1L
+      val m = scen.length
+      def pinned(base: Array[Double]) =
+        Array.tabulate(b0.length * m)(j => if (scen(j % m) == j / m) 1.0 else base(j / m))
+      for ((b0, d, k) <- Seq((b0, d, 1), (p.b0, p.d, p.k), (pinned(b0), pinned(d), m))) {
+        val want = StepDiffusion.advance(i.csr, b0, d, k, t)
+        assert(OpinionDiffusion.advance(i.csr, b0, d, k, t).sameElements(want), s"n=${i.n}, t=$t, k=$k")
+      }
+    }
   }
 
   test("an instance whose n or r disagrees with its profile is rejected, naming both counts") {

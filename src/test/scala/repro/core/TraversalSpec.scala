@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{JobCounter, SparkSpec}
 import repro.baselines.RRSets
 import repro.expts.RunningExample
-import repro.walks.{Methods, WalkGen, WalkGreedy}
+import repro.walks.{Bounds, Methods, WalkGen, WalkGreedy}
 
 /** The per-root traversal kernel behind reverse walks, RR sets and t-hop
   * reach: results independent of partitioning, sampling frequencies that
@@ -70,6 +70,24 @@ class TraversalSpec extends SparkSpec {
 
   test("RW and RS seeds and estimate trajectories do not depend on partitioning") {
     assert(greedyRuns(1, 4) == greedyRuns(7, 64))
+  }
+
+  test("RS, RW and RR-set selection pick the seeds of the walks and sets over the DataFrame starts and roots") {
+    val d = Methods.targetStubbornness(rnd)
+    def walkGreedy(score: VoteScore, starts: DataFrame, obsIsWalk: Boolean, scale: Double, seed: Long) =
+      WalkGreedy.select(rnd, score, 3, WalkGen.annotate(
+        WalkGen.generate(spark, rnd.edges, d, starts, rnd.t, seed), rnd, obsIsWalk), scale)
+    assert(Methods.rs(rnd, Copeland, 3, seed = 21, thetaOverride = Some(400L)) ==
+      walkGreedy(Copeland, WalkGen.sketchStarts(spark, rnd.n, 400, 21), true, rnd.n / 400.0, 22))
+    assert(Methods.rw(rnd, Cumulative, 3, seed = 23, lambdaOverride = Some(6)) ==
+      walkGreedy(Cumulative, WalkGen.uniformStarts(spark, rnd.n, 6), false, 1.0, 23))
+    assert(Methods.rw(rnd, Plurality(2), 3, seed = 24, lambdaCap = 8) == walkGreedy(Plurality(2),
+      WalkGen.startsPerNode(spark, Bounds.lambdaPerNode(rnd, 0.9, lambdaCap = 8)), false, 1.0, 24))
+    val roots = RRSets.sampleRoots(spark, rnd.n, 300, 25)
+    assert(RRSets.select(rnd, "ic", 3, 300L, seed = 25) ==
+      RRSets.greedyCover(RRSets.sampleIC(spark, rnd.edges, roots, rnd.t, 26), 3, rnd.n))
+    assert(RRSets.select(rnd, "lt", 3, 300L, seed = 25) ==
+      RRSets.greedyCover(RRSets.sampleLT(spark, rnd.edges, roots, rnd.t, 26), 3, rnd.n))
   }
 
   test("a uniform start or root depends on its id only") {
@@ -148,5 +166,17 @@ class TraversalSpec extends SparkSpec {
         JobCounter(spark)(RRSets.sampleLT(spark, rnd.edges, roots, t, 3))._2)
       assert(jobs.forall(_ <= 3), s"t=$t: jobs of generate, reachWithin, sampleIC, sampleLT = $jobs")
     }
+  }
+
+  test("RS, RW, RR-set selection and the sandwich's coverage greedy each run one Spark job") {
+    rnd.targetScore(Plurality(2), Nil) // collects the profile and the CSR, diffuses the horizon
+    val fixed = Sandwich.favorableUsers(rnd, 1)
+    val jobs = Seq(
+      JobCounter(spark)(Methods.rs(rnd, Plurality(2), 2, seed = 3, thetaOverride = Some(300L)))._2,
+      JobCounter(spark)(Methods.rw(rnd, Plurality(2), 2, seed = 4, lambdaOverride = Some(5)))._2,
+      JobCounter(spark)(RRSets.select(rnd, "ic", 2, 300L, seed = 5))._2,
+      JobCounter(spark)(RRSets.select(rnd, "lt", 2, 300L, seed = 6))._2,
+      JobCounter(spark)(Sandwich.coverageGreedy(rnd, fixed, 2, 1.0))._2)
+    assert(jobs.forall(_ == 1), s"jobs of rs, rw, select ic, select lt, coverageGreedy = $jobs")
   }
 }
