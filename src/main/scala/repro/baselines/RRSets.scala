@@ -40,22 +40,20 @@ object RRSets {
   private def sampleFrame(model: String, edges: DataFrame, roots: DataFrame, maxDepth: Int, seed: Long): DataFrame = {
     import roots.sparkSession.implicits._
     val rows = roots.select(col("rr").cast("long"), col("node").cast("long")).rdd.map(r => (r.getLong(0), r.getLong(1)))
-    sample(GraphOps.inCsr(edges), model, rows, maxDepth, seed).toSeq.toDF("rr", "node")
+    sample(GraphOps.inCsr(edges), model, rows, maxDepth, seed).pairs.map(_.swap).toDF("rr", "node")
   }
 
-  /** The RR set `(rr, node)` under `model` of each root `(rr, node)`, grown
-    * over the in-edges `csr` with the draws of `rr`, in one job.
+  /** The RR set under `model` of each root `(rr, node)`, root first,
+    * grown over the in-edges `csr` with the draws of `rr`, in one job.
     */
-  private def sample(csr: GraphOps.InCsr, model: String, roots: RDD[(Long, Long)],
-                     maxDepth: Int, seed: Long): Array[(Long, Long)] = {
+  private[repro] def sample(csr: GraphOps.InCsr, model: String, roots: RDD[(Long, Long)],
+                            maxDepth: Int, seed: Long): GraphOps.Packed = {
     val set: (GraphOps.InCsr, Int, SplittableRandom) => Seq[Int] = model match {
       case "ic" => (csr, root, rng) => GraphOps.reverseBfs(csr, root, maxDepth)(e => rng.nextDouble() < csr.w(e))
       case "lt" => (csr, root, rng) => GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
       case other => throw new IllegalArgumentException(s"unknown diffusion model: $other")
     }
-    GraphOps.perRoot(csr, roots) { case (csr, (rr, root)) =>
-      set(csr, root.toInt, GraphOps.draws(seed, rr)).iterator.map(v => (rr, v.toLong))
-    }
+    GraphOps.perRoot(csr, roots)((csr, rr, root) => set(csr, root, GraphOps.draws(seed, rr)))
   }
 
   /** Greedy max coverage ([[GraphOps.maxCoverage]]): k nodes covering the
@@ -71,6 +69,6 @@ object RRSets {
   def select(inst: Instance, model: String, k: Int, theta: Long,
              seed: Long = 47): Seq[Long] = {
     val roots = GraphOps.uniformNodes(inst.edges.sparkSession.sparkContext, inst.n, theta, seed)
-    GraphOps.maxCoverage(sample(inst.csr, model, roots, inst.t, seed + 1).map(_.swap), k, inst.n).map(_._1)
+    GraphOps.maxCoverage(sample(inst.csr, model, roots, inst.t, seed + 1).pairs, k, inst.n).map(_._1)
   }
 }

@@ -100,12 +100,43 @@ object GraphOps {
   def uniformNodes(sc: SparkContext, n: Long, count: Long, seed: Long): RDD[(Long, Long)] =
     sc.parallelize(0L until count).map(id => (id, draws(seed, id).nextLong(n)))
 
-  /** Runs `visit` on each root of `roots` with `shared` broadcast, in one
-    * job, and returns its output to the driver in root order.
+  /** Node lists packed into three arrays: list `i` belongs to root
+    * `roots(i)` and holds `nodes(off(i) until off(i + 1))`.
     */
-  def perRoot[S: ClassTag, R, T: ClassTag](shared: S, roots: RDD[R])(visit: (S, R) => Iterator[T]): Array[T] = {
+  final class Packed(val roots: Array[Long], val off: Array[Int], val nodes: Array[Int]) extends Serializable {
+    def size: Int = roots.length
+
+    /** List `i`. */
+    def nodesOf(i: Int): Array[Int] = nodes.slice(off(i), off(i + 1))
+
+    /** Pairs `(node, root)` of every node of every list, in list order. */
+    def pairs: Seq[(Long, Long)] =
+      for (i <- 0 until size; j <- off(i) until off(i + 1)) yield (nodes(j).toLong, roots(i))
+  }
+
+  object Packed {
+    /** The lists `(root, nodes)` of `lists`, in order. */
+    def apply(lists: Seq[(Long, Seq[Int])]): Packed =
+      new Packed(lists.map(_._1).toArray, lists.scanLeft(0)(_ + _._2.length).toArray, lists.flatMap(_._2).toArray)
+
+    /** `blocks` joined in order. */
+    def concat(blocks: Seq[Packed]): Packed = {
+      val ends = blocks.scanLeft(0)(_ + _.nodes.length)
+      new Packed(Array.concat(blocks.map(_.roots): _*),
+        Array.concat(Array(0) +: blocks.zip(ends).map { case (b, end) => b.off.tail.map(_ + end) }: _*),
+        Array.concat(blocks.map(_.nodes): _*))
+    }
+  }
+
+  /** Runs `visit(shared, root, node)` on each root `(root, node)` of
+    * `roots` with `shared` broadcast, in one job: each task packs its lists
+    * into one [[Packed]] block, and the driver joins them in root order.
+    */
+  def perRoot[S: ClassTag](shared: S, roots: RDD[(Long, Long)])(visit: (S, Long, Int) => Seq[Int]): Packed = {
     val bc = roots.sparkContext.broadcast(shared)
-    try roots.mapPartitions(_.flatMap(visit(bc.value, _))).collect()
+    try Packed.concat(roots.mapPartitions(rs => Iterator(Packed(rs.map { case (root, v) =>
+      (root, visit(bc.value, root, v.toInt))
+    }.toSeq))).collect().toSeq)
     finally bc.destroy()
   }
 
@@ -154,13 +185,16 @@ object GraphOps {
   /** [[reachWithin]] over the in-edges `csr`, a local DataFrame. */
   def reachWithin(spark: SparkSession, csr: InCsr, n: Long, t: Int): DataFrame = {
     import spark.implicits._
-    reach(csr, n, t).toSeq.toDF("root", "node")
+    reach(csr, n, t).pairs.toDF("root", "node")
   }
 
-  /** [[reachWithin]]'s pairs `(root, node)` over the in-edges `csr`, in one job. */
-  def reach(csr: InCsr, n: Long, t: Int): Array[(Long, Long)] =
-    perRoot(csr, SparkContext.getOrCreate().parallelize(0 until n.toInt)) { (csr, v) =>
-      reverseBfs(csr, v, t)(_ => true).iterator.map(u => (u.toLong, v.toLong))
+  /** Each node `v`'s reach set over the in-edges `csr`, in one job: the
+    * nodes reaching `v` in at most `t` hops, `v` first. Its [[Packed.pairs]]
+    * are [[reachWithin]]'s `(root, node)`.
+    */
+  def reach(csr: InCsr, n: Long, t: Int): Packed =
+    perRoot(csr, SparkContext.getOrCreate().parallelize(0L until n).map(v => (v, v))) { (csr, _, v) =>
+      reverseBfs(csr, v, t)(_ => true)
     }
 
   /** Greedy maximum coverage over `pairs` `(set, elem)`, whose two columns

@@ -79,12 +79,14 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
     * for `q`.
     */
   private def table(seeds: Seq[Long]): Array[Double] =
-    if (seeds.isEmpty) horizon
-    else {
-      val ops = horizon.clone()
-      targetOpinions(seeds).zipWithIndex.foreach { case (b, v) => ops(v * dense.k + q) = b }
-      ops
-    }
+    if (seeds.isEmpty) horizon else withTarget(targetOpinions(seeds))
+
+  /** The seedless horizon with the target's opinions replaced by `b`. */
+  private def withTarget(b: Array[Double]): Array[Double] = {
+    val ops = horizon.clone()
+    b.indices.foreach(v => ops(v * dense.k + q) = b(v))
+    ops
+  }
 
   /** `score` of the target opinions `b` (one per node) against the
     * competitors' horizon opinions.
@@ -121,8 +123,14 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
     * competitor's score at the horizon (Eq 9). Every candidate is scored
     * from one opinion table.
     */
-  def wins(score: VoteScore, seeds: Seq[Long]): Boolean = {
-    val ops = table(seeds)
+  def wins(score: VoteScore, seeds: Seq[Long]): Boolean = beats(score, table(seeds))
+
+  /** [[wins]] with each of `seedSets`, diffused together in one call. */
+  private[repro] def winsEach(score: VoteScore, seedSets: Seq[Seq[Long]]): Seq[Boolean] =
+    targetColumns(seedSets)(b => beats(score, withTarget(b)))
+
+  /** Whether `q` scores strictly highest in the node-major opinions `ops`. */
+  private def beats(score: VoteScore, ops: Array[Double]): Boolean = {
     val tgt = score.ofTable(ops, dense.k, q)
     (0 until dense.k).filter(_ != q).forall(c => tgt > score.ofTable(ops, dense.k, c))
   }

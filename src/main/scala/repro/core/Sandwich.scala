@@ -34,10 +34,14 @@ object Sandwich {
   def favorableUsers(inst: Instance, p: Int, seeds: Seq[Long] = Nil): DataFrame = {
     val spark = inst.edges.sparkSession
     import spark.implicits._
+    favorable(inst, p, seeds).toDF("node")
+  }
+
+  /** [[favorableUsers]] on the driver, ascending. */
+  private def favorable(inst: Instance, p: Int, seeds: Seq[Long]): Seq[Long] = {
     val approval = PApproval(p, inst.r)
     val b = inst.targetOpinions(seeds)
-    b.indices.filter(v => approval.voterTerms(v, b(v), inst.competitors(v)).exists(_._2 > 0))
-      .map(_.toLong).toDF("node")
+    b.indices.filter(v => approval.voterTerms(v, b(v), inst.competitors(v)).exists(_._2 > 0)).map(_.toLong)
   }
 
   /** Weakly favorable users set `Uq` (Def 5): users preferring the target to
@@ -52,15 +56,19 @@ object Sandwich {
     * the reach pairs, which one Spark job returns to the driver. Returns the
     * seeds and the exact UB value of the returned set.
     */
-  def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) = {
-    val users = fixed.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet
-    val picks = GraphOps.maxCoverage(GraphOps.reach(inst.csr, inst.n, inst.t).filterNot(p => users(p._2)), k, inst.n)
-    (picks.map(_._1), (users.size + picks.map(_._2).sum) * factor)
+  def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) =
+    coverageGreedy(inst, fixed.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet, k, factor)
+
+  /** [[coverageGreedy]] with the users `fixed` on the driver. */
+  private def coverageGreedy(inst: Instance, fixed: Set[Long], k: Int, factor: Double): (Seq[Long], Double) = {
+    val picks = GraphOps.maxCoverage(GraphOps.reach(inst.csr, inst.n, inst.t).pairs.filterNot(p => fixed(p._2)), k,
+      inst.n)
+    (picks.map(_._1), (fixed.size + picks.map(_._2).sum) * factor)
   }
 
   /** Algorithm 3 for a plurality-variant score. */
   def run(inst: Instance, score: PositionalPApproval, k: Int): Result = {
-    val vq = favorableUsers(inst, score.p)
+    val vq = favorable(inst, score.p, Nil).toSet
     val omega1 = score.weights.head
     val omegaP = score.weights(score.p - 1)
     val (sU, ubU) = coverageGreedy(inst, vq, k, omega1)
@@ -73,7 +81,7 @@ object Sandwich {
 
   /** Algorithm 3 for the Copeland score (upper bound only, §IV-C). */
   def runCopeland(inst: Instance, k: Int): Result = {
-    val uq = weaklyFavorableUsers(inst)
+    val uq = favorable(inst, inst.r - 1, Nil).toSet
     val factor = (inst.r - 1).toDouble / (inst.n / 2 + 1).toDouble
     val (sU, ubU) = coverageGreedy(inst, uq, k, factor)
     val sF = GreedyDM.select(inst, Copeland, k).seeds

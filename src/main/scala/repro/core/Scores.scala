@@ -152,13 +152,10 @@ object PApproval {
 /** Cumulative opinion restricted to a node subset, times a constant —
   * the sandwich lower-bound objective of Def 3:
   * `LB(S) = w[p] * sum_{v in favorable} b_qv[S]`. Submodular (Thm 5), so
-  * the plain greedy is (1-1/e)-approximate for it. The node set `(node)` is
-  * collected when the score is built.
+  * the plain greedy is (1-1/e)-approximate for it.
   */
-final case class RestrictedCumulative(@transient nodes: DataFrame, factor: Double) extends VoteScore {
+final case class RestrictedCumulative(members: Set[Long], factor: Double) extends VoteScore {
   val name = "restricted-cumulative"
-
-  private val members: Set[Long] = nodes.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet
 
   override def ranked: Boolean = false
 
@@ -166,6 +163,12 @@ final case class RestrictedCumulative(@transient nodes: DataFrame, factor: Doubl
     if (members(node)) Seq((0, b)) else Nil
 
   override def finish(partTotals: Iterable[Double]): Double = factor * partTotals.sum
+}
+
+object RestrictedCumulative {
+  /** The score restricted to the nodes of single-column `(node)`, collected here. */
+  def apply(nodes: DataFrame, factor: Double): RestrictedCumulative =
+    RestrictedCumulative(nodes.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet, factor)
 }
 
 /** Copeland score (Eq 7): number of one-on-one competitions the candidate

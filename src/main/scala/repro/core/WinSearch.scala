@@ -14,16 +14,19 @@ package repro.core
 object WinSearch {
 
   /** Minimal winning prefix of a (greedy) seed sequence, or None if even the
-    * full sequence does not win. Returns (k*, winning seed set).
+    * full sequence does not win. Returns (k*, winning seed set). Every
+    * prefix is diffused as one column of a single call; the binary search
+    * then reads the wins on the driver.
     */
   def minSeedsToWin(inst: Instance, score: VoteScore, seedSeq: Seq[Long]): Option[(Int, Seq[Long])] = {
     if (inst.wins(score, Nil)) return Some((0, Nil))
-    if (!inst.wins(score, seedSeq)) return None
+    val wins = inst.winsEach(score, (1 to seedSeq.length).map(seedSeq.take))
+    if (!wins.lastOption.contains(true)) return None
     var lo = 0                 // largest known-losing prefix
     var hi = seedSeq.length    // smallest known-winning prefix
     while (hi - lo > 1) {
       val mid = (lo + hi) / 2
-      if (inst.wins(score, seedSeq.take(mid))) hi = mid else lo = mid
+      if (wins(mid - 1)) hi = mid else lo = mid
     }
     Some((hi, seedSeq.take(hi)))
   }

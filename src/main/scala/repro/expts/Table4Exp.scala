@@ -47,7 +47,7 @@ object Table4Exp {
     // switched users within the seed's t-hop reach, grouped by domain.
     val switched = after.join(before, Seq("node"), "left_anti").localCheckpoint(true)
     val top10 = seeds.take(10)
-    val reach = GraphOps.reach(inst.csr, n, t).filter(p => top10.contains(p._1)).toSeq.toDF("root", "node")
+    val reach = GraphOps.reach(inst.csr, n, t).pairs.filter(p => top10.contains(p._1)).toDF("root", "node")
     val domTotals = domains.groupBy("domain").agg(count(lit(1)).as("tot"))
       .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
     val seedDomain = reach.join(switched, Seq("node"))

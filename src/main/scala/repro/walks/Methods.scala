@@ -57,13 +57,12 @@ object Methods {
   }
 
   /** Walk greedy over one walk per start `(wid, start)`, generated and
-    * collected in one Spark job and annotated on the driver.
+    * collected as packed paths in one Spark job and annotated on the driver.
     */
   private def walkGreedy(inst: Instance, score: VoteScore, k: Int, starts: RDD[(Long, Long)], seed: Long,
                          obsIsWalk: Boolean, scale: Double): WalkGreedy.Result = {
     val (b0, d) = inst.targetDense(Nil)
-    val walks = WalkGen.walks(inst.csr, d, starts, inst.t, seed).map(WalkGen.annotated(_, b0, obsIsWalk))
-    WalkGreedy.select(inst, score, k, walks.toSeq, scale)
+    WalkGreedy.select(inst, score, k, WalkGen.walks(inst.csr, d, starts, inst.t, seed), b0, obsIsWalk, scale)
   }
 
   /** Target candidate's stubbornness `(node, d)` with no seeds applied —

@@ -1,7 +1,7 @@
 package repro.walks
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, Instance}
 
@@ -36,20 +36,22 @@ object WalkGen {
     val d = new Array[Double](csr.off.length - 1)
     targetStubbornness.select(col("node").cast("int"), col("d").cast("double")).collect()
       .foreach(r => d(r.getInt(0)) = r.getDouble(1))
-    walks(csr, d, starts.select(col("wid").cast("long"), col("start").cast("long")).rdd
+    val ws = walks(csr, d, starts.select(col("wid").cast("long"), col("start").cast("long")).rdd
       .map(r => (r.getLong(0), r.getLong(1))), t, seed)
-      .toSeq.map { case (wid, start, path) => (wid, start, path, path.last) }.toDF("wid", "start", "path", "end")
+    (0 until ws.size).map { i =>
+      val path = ws.nodesOf(i).map(_.toLong).toSeq
+      (ws.roots(i), path.head, path, path.last)
+    }.toDF("wid", "start", "path", "end")
   }
 
-  /** The walk `(wid, start, path)` of each start `(wid, start)`, over the
-    * in-edges `csr` with stubbornness `d(v)` at node `v` and horizon `t`,
-    * in one job; walk `wid` draws from `GraphOps.draws(seed, wid)`.
+  /** The path of the walk of each start `(wid, start)`, start first, over
+    * the in-edges `csr` with stubbornness `d(v)` at node `v` and horizon
+    * `t`, in one job; walk `wid` draws from `GraphOps.draws(seed, wid)`.
     */
-  private[walks] def walks(csr: GraphOps.InCsr, d: Array[Double], starts: RDD[(Long, Long)], t: Int,
-                           seed: Long): Array[(Long, Long, Seq[Long])] =
-    GraphOps.perRoot((csr, d), starts) { case ((csr, d), (wid, start)) =>
-      val path = GraphOps.reverseWalk(csr, start.toInt, t, d(_), GraphOps.draws(seed, wid), simple = false)
-      Iterator((wid, start, path.map(_.toLong)))
+  private[repro] def walks(csr: GraphOps.InCsr, d: Array[Double], starts: RDD[(Long, Long)], t: Int,
+                           seed: Long): GraphOps.Packed =
+    GraphOps.perRoot((csr, d), starts) { case ((csr, d), wid, start) =>
+      GraphOps.reverseWalk(csr, start, t, d(_), GraphOps.draws(seed, wid), simple = false)
     }
 
   /** The RW starts `(wid, start)` of node `v` with `lam >= 1` walks: walk
@@ -80,12 +82,18 @@ object WalkGen {
   def sketchStarts(spark: SparkSession, n: Long, theta: Long, seed: Long): DataFrame =
     spark.createDataFrame(GraphOps.uniformNodes(spark.sparkContext, n, theta, seed)).toDF("wid", "start")
 
-  /** A walk of the greedy's working set, as [[annotate]] builds it. */
-  final case class Annotated(wid: Long, obs: Long, start: Long, path: Seq[Long], b0end: Double, covered: Boolean)
+  /** The observation key and the `b0` of the end node of each walk of
+    * `walks`: RS keys observations by walk id (λ=1 per sample), RW by start
+    * node (λ_v walks averaged).
+    */
+  private[walks] def annotation(walks: GraphOps.Packed, b0: Array[Double],
+                                obsIsWalk: Boolean): (Array[Long], Array[Double]) =
+    (Array.tabulate(walks.size)(i => if (obsIsWalk) walks.roots(i) else walks.nodes(walks.off(i)).toLong),
+      Array.tabulate(walks.size)(i => b0(walks.nodes(walks.off(i + 1) - 1))))
 
-  /** Walk `(wid, start, path)` as [[annotate]] annotates it, reading `b0` of its end node. */
-  private[walks] def annotated(walk: (Long, Long, Seq[Long]), b0: Array[Double], obsIsWalk: Boolean): Annotated =
-    Annotated(walk._1, if (obsIsWalk) walk._1 else walk._2, walk._2, walk._3, b0(walk._3.last.toInt), covered = false)
+  /** The walks of rows `(wid, path, …)`, in row order. */
+  private[walks] def packed(rows: Array[Row]): GraphOps.Packed =
+    GraphOps.Packed(rows.toSeq.map(r => (r.getLong(0), r.getSeq[Long](1).map(_.toInt))))
 
   /** Annotate generated walks with the target candidate's initial opinion of
     * each walk's end node, read from the instance's dense profile on the
@@ -97,8 +105,11 @@ object WalkGen {
     */
   def annotate(walks: DataFrame, inst: Instance, obsIsWalk: Boolean): DataFrame = {
     import walks.sparkSession.implicits._
-    val b0 = inst.targetDense(Nil)._1
-    walks.select(col("wid").cast("long"), col("start").cast("long"), col("path")).collect()
-      .map(r => annotated((r.getLong(0), r.getLong(1), r.getSeq[Long](2)), b0, obsIsWalk)).toSeq.toDF()
+    val ws = packed(walks.select(col("wid").cast("long"), col("path")).collect())
+    val (obs, b0end) = annotation(ws, inst.targetDense(Nil)._1, obsIsWalk)
+    (0 until ws.size).map { i =>
+      val path = ws.nodesOf(i).map(_.toLong).toSeq
+      (ws.roots(i), obs(i), path.head, path, b0end(i), false)
+    }.toDF("wid", "obs", "start", "path", "b0end", "covered")
   }
 }

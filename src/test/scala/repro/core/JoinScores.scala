@@ -26,8 +26,8 @@ object JoinScores {
           .groupBy(voter.map(col): _*).agg(rank)
           .select(onePart(voter,
             when(beta <= p, element_at(array(weights.map(lit): _*), beta.cast("int"))).otherwise(lit(0.0))): _*)
-      case RestrictedCumulative(nodes, _) =>
-        target.join(nodes, Seq("node")).select(onePart(voter, col("b")): _*)
+      case RestrictedCumulative(members, _) =>
+        target.filter(col("node").isInCollection(members)).select(onePart(voter, col("b")): _*)
       case Copeland =>
         versus(target, comp).select(voter.map(col) ++ Seq(col("x").as("part"),
           when(col("b") > col("bx"), 1.0).when(col("b") < col("bx"), -1.0).otherwise(0.0).as("v")): _*)

@@ -179,4 +179,20 @@ class TraversalSpec extends SparkSpec {
       JobCounter(spark)(Sandwich.coverageGreedy(rnd, fixed, 2, 1.0))._2)
     assert(jobs.forall(_ == 1), s"jobs of rs, rw, select ic, select lt, coverageGreedy = $jobs")
   }
+
+  test("packed walks, RR sets and reach are the rows of the tuple-form kernel") {
+    val (_, d) = rnd.targetDense(Nil)
+    for (parts <- Seq(1, 7)) {
+      val starts = spark.sparkContext.parallelize((0L until rnd.n).flatMap(WalkGen.nodeStarts(_, 3)), parts)
+      val roots = GraphOps.uniformNodes(spark.sparkContext, rnd.n, 300, 51).repartition(parts)
+      val walks = WalkGen.walks(rnd.csr, d, starts, rnd.t, 52)
+      assert((0 until walks.size).map(i => (walks.roots(i), walks.nodes(walks.off(i)).toLong,
+        walks.nodesOf(i).map(_.toLong).toSeq)) == TupleTraversal.walks(rnd.csr, d, starts, rnd.t, 52).toSeq)
+      for (model <- Seq("ic", "lt"))
+        assert(RRSets.sample(rnd.csr, model, roots, rnd.t, 53).pairs.map(_.swap) ==
+          TupleTraversal.sample(rnd.csr, model, roots, rnd.t, 53).toSeq, model)
+    }
+    for (t <- Seq(0, 1, 4))
+      assert(GraphOps.reach(rnd.csr, rnd.n, t).pairs == TupleTraversal.reach(rnd.csr, rnd.n, t).toSeq, s"t=$t")
+  }
 }

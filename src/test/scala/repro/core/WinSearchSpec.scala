@@ -1,11 +1,12 @@
 package repro.core
 
-import repro.SparkSpec
-import repro.expts.RunningExample
+import repro.{JobCounter, SparkSpec}
+import repro.expts.{Datasets, RunningExample}
 
 class WinSearchSpec extends SparkSpec {
 
   private lazy val inst = RunningExample.instance(spark)
+  private lazy val rnd = Datasets.instance(spark, Datasets.Spec("tiny-win", "tiny", 40, 160, 3, 0, 0, 431), t = 3)
 
   test("wins: plurality on the running example with no seeds is a tie, not a win") {
     // target plurality 2, competitor plurality 2 (users 3,4 prefer c2).
@@ -52,5 +53,32 @@ class WinSearchSpec extends SparkSpec {
     val hard = inst.copy(profile = prof)
     // Cumulative maxes at 4.0 for the target = competitor's 4.0: never strictly more.
     assert(WinSearch.minSeedsToWin(hard, Cumulative, Seq(0L, 1L, 2L, 3L)).isEmpty)
+  }
+
+  test("minSeedsToWin is the binary search over one wins probe per prefix") {
+    /** The search with one `wins` probe per prefix it visits. */
+    def probed(i: Instance, score: VoteScore, seedSeq: Seq[Long]): Option[(Int, Seq[Long])] =
+      if (i.wins(score, Nil)) Some((0, Nil))
+      else if (!i.wins(score, seedSeq)) None
+      else {
+        var (lo, hi) = (0, seedSeq.length)
+        while (hi - lo > 1) { val mid = (lo + hi) / 2; if (i.wins(score, seedSeq.take(mid))) hi = mid else lo = mid }
+        Some((hi, seedSeq.take(hi)))
+      }
+    for (q <- 0 until 3; score <- Seq(Cumulative, Plurality(3), Copeland);
+         seedSeq <- Seq(Nil, 0L until 8L, 39L to 30L by -1)) {
+      val target = rnd.copy(q = q)
+      assert(WinSearch.minSeedsToWin(target, score, seedSeq) == probed(target, score, seedSeq),
+        s"q=$q, ${score.name}, $seedSeq")
+    }
+  }
+
+  test("minSeedsToWin runs as many Spark jobs at kMax = 2 as at kMax = 8") {
+    val score = Plurality(3)
+    // At most one candidate wins with no seeds; this also diffuses the seedless horizon before counting.
+    val loser = (0 until 3).map(c => rnd.copy(q = c)).find(!_.wins(score, Nil)).get
+    def jobs(kMax: Int) = JobCounter(spark)(WinSearch.minSeedsToWin(loser, score, 0L until kMax.toLong))._2
+    val (two, eight) = (jobs(2), jobs(8))
+    assert(two == eight, s"kMax = 2: $two jobs, kMax = 8: $eight")
   }
 }
