@@ -53,7 +53,7 @@ object RRSets {
       case "lt" => (csr, root, rng) => GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
       case other => throw new IllegalArgumentException(s"unknown diffusion model: $other")
     }
-    GraphOps.perRoot(csr, roots)((csr, rr, root) => set(csr, root, GraphOps.draws(seed, rr)))
+    GraphOps.perRoot("RR sets", csr, roots)((csr, rr, root) => set(csr, root, GraphOps.draws(seed, rr)))
   }
 
   /** Greedy max coverage ([[GraphOps.maxCoverage]]): k nodes covering the

@@ -129,15 +129,19 @@ object GraphOps {
   }
 
   /** Runs `visit(shared, root, node)` on each root `(root, node)` of
-    * `roots` with `shared` broadcast, in one job: each task packs its lists
-    * into one [[Packed]] block, and the driver joins them in root order.
+    * `roots` with `shared` broadcast, in one job described as `phase`: each
+    * task packs its lists into one [[Packed]] block, and the driver joins
+    * them in root order. The thread's previous job description is restored.
     */
-  def perRoot[S: ClassTag](shared: S, roots: RDD[(Long, Long)])(visit: (S, Long, Int) => Seq[Int]): Packed = {
-    val bc = roots.sparkContext.broadcast(shared)
+  def perRoot[S: ClassTag](phase: String, shared: S, roots: RDD[(Long, Long)])
+                          (visit: (S, Long, Int) => Seq[Int]): Packed = {
+    val sc = roots.sparkContext
+    val (bc, previous) = (sc.broadcast(shared), sc.getLocalProperty("spark.job.description"))
+    sc.setJobDescription(phase)
     try Packed.concat(roots.mapPartitions(rs => Iterator(Packed(rs.map { case (root, v) =>
       (root, visit(bc.value, root, v.toInt))
     }.toSeq))).collect().toSeq)
-    finally bc.destroy()
+    finally { sc.setJobDescription(previous); bc.destroy() }
   }
 
   /** Nodes reaching `root` in at most `depth` hops over edges with `live`,
@@ -193,7 +197,7 @@ object GraphOps {
     * are [[reachWithin]]'s `(root, node)`.
     */
   def reach(csr: InCsr, n: Long, t: Int): Packed =
-    perRoot(csr, SparkContext.getOrCreate().parallelize(0L until n).map(v => (v, v))) { (csr, _, v) =>
+    perRoot("reach", csr, SparkContext.getOrCreate().parallelize(0L until n).map(v => (v, v))) { (csr, _, v) =>
       reverseBfs(csr, v, t)(_ => true)
     }
 

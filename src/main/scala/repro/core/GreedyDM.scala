@@ -7,9 +7,9 @@ import scala.collection.mutable
   * submodular cumulative score (§III-C).
   *
   * Marginal gains for one greedy round are evaluated with a single
-  * scenario-vectorized diffusion ([[Instance.targetScores]], one Spark job
-  * whatever `t`) instead of one diffusion per candidate seed; each scenario
-  * is scored on the driver.
+  * scenario-vectorized diffusion ([[Instance.targetScores]], on the driver
+  * with no Spark job) instead of one diffusion per candidate seed; each
+  * scenario is scored as it is read back.
   */
 object GreedyDM {
 

@@ -12,9 +12,9 @@ import org.apache.spark.sql.functions._
   * [[csr]], which every diffusion, walk, RR set and reach reads; seeded
   * diffusions pin their seeds on those arrays and diffuse the target alone,
   * since diffusion is independent per candidate (§II-A) and `q`'s seeds
-  * leave the competitors' opinions at the seedless horizon. Scores are
-  * summed on the driver from the opinions the diffusion collects. A copy of
-  * the instance collects and diffuses its own.
+  * leave the competitors' opinions at the seedless horizon. Diffusions and
+  * scores run on the driver, with no Spark job. A copy of the instance
+  * collects and diffuses its own.
   */
 final case class Instance(edges: DataFrame, profile: DataFrame,
                           n: Long, r: Int, q: Int, t: Int) {

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.SparkContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -11,14 +10,12 @@ import org.apache.spark.sql.functions._
   * one per candidate in [[diffuse]], one per candidate seed in
   * [[diffuseScenarios]]. Each call collects the edges into the in-edge CSR
   * ([[GraphOps.inCsr]]) and checks it once ([[GraphOps.edgeDefect]]). The
-  * step loop ([[advance]]) then broadcasts the CSR with the initial
-  * opinions and stubbornness and runs one Spark job: each task takes a
-  * disjoint slice of the `k` vectors through all `t` steps,
-  * `b = (1 − d)·wsum + d·b0`, where `wsum` is a node's weighted
-  * in-neighbour sum in ascending `src` order, so results do not depend on
-  * partitioning or on the slicing. The result is a local DataFrame with no
-  * lineage. [[Instance]] collects its profile ([[Dense]]) and its CSR once
-  * and calls the step loop on them directly.
+  * step loop ([[advance]]) then takes all `k` vectors through the `t` steps
+  * on the driver, with no Spark job, `b = (1 − d)·wsum + d·b0`, where
+  * `wsum` is a node's weighted in-neighbour sum in ascending `src` order,
+  * so results do not depend on partitioning. The result is a local
+  * DataFrame with no lineage. [[Instance]] collects its profile ([[Dense]])
+  * and its CSR once and calls the step loop on them directly.
   *
   * Seeding a node `s` for candidate `q` sets `b0 = 1` and `d = 1` for
   * `(s, q)` (§II-C), freezing its opinion about `q` at 1.
@@ -119,9 +116,8 @@ object OpinionDiffusion {
 
   /** `t` FJ steps of the `k` node-major opinion vectors with initial
     * opinions `b0` and stubbornness `d` over the in-edges `csr`, which are
-    * checked once ([[GraphOps.edgeDefect]]), in one Spark job: `(csr, b0, d)`
-    * is broadcast and each of `min(k, defaultParallelism)` tasks runs every
-    * step on its own contiguous slice of the vectors.
+    * checked once ([[GraphOps.edgeDefect]]), in one loop on the calling
+    * thread over two `n·k` buffers, swapped each step.
     */
   private[core] def advance(csr: GraphOps.InCsr, b0: Array[Double], d: Array[Double],
                             k: Int, t: Int): Array[Double] = {
@@ -129,28 +125,27 @@ object OpinionDiffusion {
     val n = b0.length / k
     GraphOps.edgeDefect(csr, n).foreach(msg => throw new IllegalArgumentException(msg))
     if (t == 0) return b0
-    val sc = SparkContext.getOrCreate()
-    val shared = sc.broadcast((csr, b0, d))
-    val slices = math.min(k, sc.defaultParallelism)
-    val parts = try sc.parallelize(0 until slices, slices).map { part =>
-      // Vectors lo until lo + m, held slice-major: entry v * m + j is vector lo + j at node v.
-      val (csr, b0, d) = shared.value
-      val (lo, m) = (part * k / slices, (part + 1) * k / slices - part * k / slices)
-      var b = Array.tabulate(n * m)(i => b0(i / m * k + lo + i % m))
-      for (_ <- 1 to t) {
-        val next = new Array[Double](n * m)
-        for (v <- 0 until n) {
-          // Node v's in-neighbour sums Σ w·b(src) of the slice's vectors, sources ascending.
-          val s = new Array[Double](m)
-          for (e <- csr.in(v); j <- 0 until m) s(j) += b(csr.src(e) * m + j) * csr.w(e)
-          for (j <- 0 until m; i = v * k + lo + j) next(v * m + j) = (1.0 - d(i)) * s(j) + d(i) * b0(i)
+    // Step 1 reads b0; each later step writes over the buffer the step before it read.
+    var (b, spare) = (b0, null: Array[Double])
+    val s = new Array[Double](k)
+    for (_ <- 1 to t) {
+      val (cur, out) = (b, if (spare == null) new Array[Double](n * k) else spare)
+      for (v <- 0 until n) {
+        // Node v's in-neighbour sums Σ w·b(src) of the k vectors, sources ascending.
+        java.util.Arrays.fill(s, 0.0)
+        for (e <- csr.in(v)) {
+          val (from, w) = (csr.src(e) * k, csr.w(e))
+          var j = 0 // a while loop: this is the hot loop of every exact score
+          while (j < k) { s(j) += cur(from + j) * w; j += 1 }
         }
-        b = next
+        for (j <- 0 until k) {
+          val i = v * k + j
+          out(i) = (1.0 - d(i)) * s(j) + d(i) * b0(i)
+        }
       }
-      (lo, b)
-    }.collect() finally shared.destroy()
-    val out = new Array[Double](n * k)
-    for ((lo, b) <- parts; m = b.length / n; i <- b.indices) out(i / m * k + lo + i % m) = b(i)
-    out
+      spare = if (cur eq b0) null else cur
+      b = out
+    }
+    b
   }
 }

@@ -15,8 +15,8 @@ object WinSearch {
 
   /** Minimal winning prefix of a (greedy) seed sequence, or None if even the
     * full sequence does not win. Returns (k*, winning seed set). Every
-    * prefix is diffused as one column of a single call; the binary search
-    * then reads the wins on the driver.
+    * prefix is diffused as one column of a single call, with no Spark job;
+    * the binary search then reads the wins.
     */
   def minSeedsToWin(inst: Instance, score: VoteScore, seedSeq: Seq[Long]): Option[(Int, Seq[Long])] = {
     if (inst.wins(score, Nil)) return Some((0, Nil))

@@ -50,7 +50,7 @@ object WalkGen {
     */
   private[repro] def walks(csr: GraphOps.InCsr, d: Array[Double], starts: RDD[(Long, Long)], t: Int,
                            seed: Long): GraphOps.Packed =
-    GraphOps.perRoot((csr, d), starts) { case ((csr, d), wid, start) =>
+    GraphOps.perRoot("walks", (csr, d), starts) { case ((csr, d), wid, start) =>
       GraphOps.reverseWalk(csr, start, t, d(_), GraphOps.draws(seed, wid), simple = false)
     }
 

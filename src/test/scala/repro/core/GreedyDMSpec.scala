@@ -23,7 +23,9 @@ class GreedyDMSpec extends SparkSpec {
         i.targetScore(Cumulative, Nil) // collects the profile and the CSR, diffuses the horizon
         JobCounter(spark)(GreedyDM.select(i, Cumulative, 2, celf = celf))._2
       }
-      assert(jobs(1) == jobs(8), s"celf=$celf: t=1 ${jobs(1)} jobs, t=8 ${jobs(8)} jobs")
+      val (one, eight) = (jobs(1), jobs(8))
+      assert(one == eight, s"celf=$celf: t=1 $one jobs, t=8 $eight jobs")
+      assert(one == 0, s"celf=$celf: t=1 $one jobs")
     }
   }
 

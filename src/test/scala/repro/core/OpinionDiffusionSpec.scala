@@ -252,11 +252,11 @@ class OpinionDiffusionSpec extends SparkSpec {
     assert(jobs <= rnd.t + 2, s"$jobs jobs")
   }
 
-  test("a seeded targetScore runs exactly one one-stage job once the instance's CSR exists") {
+  test("a seeded targetScore runs no Spark job once the instance's CSR exists") {
     val i = rnd.copy(t = 3)
     i.targetScore(Cumulative, Nil) // collects the profile and the CSR, diffuses the horizon
     val (_, jobs, stages) = JobCounter.withStages(spark)(i.targetScore(Cumulative, Seq(3L, 17L)))
-    assert(jobs == 1 && stages == 1, s"$jobs jobs, $stages stages")
+    assert(jobs == 0 && stages == 0, s"$jobs jobs, $stages stages")
   }
 
   test("a seeded wins runs as many Spark jobs at t = 1 as at t = 8") {
@@ -265,11 +265,16 @@ class OpinionDiffusionSpec extends SparkSpec {
       i.targetScore(Cumulative, Nil) // collects the profile and the CSR, diffuses the horizon
       JobCounter(spark)(i.wins(Plurality(rnd.r), Seq(3L, 17L)))._2
     }
-    assert(jobs(1) == jobs(8), s"t=1: ${jobs(1)} jobs, t=8: ${jobs(8)} jobs")
+    val (one, eight) = (jobs(1), jobs(8))
+    assert(one == eight, s"t=1: $one jobs, t=8: $eight jobs")
+    assert(one == 0, s"t=1: $one jobs")
   }
 
   test("advance is bit-identical to the per-step kernel it replaced, for 1, r and n + 1 vectors") {
-    for (i <- Seq(inst, rnd); t <- Seq(0, 1, 2, 8)) {
+    // The running example, rnd, and instances of the two benchmark shapes.
+    val shapes = Seq(Datasets.Spec("greedy", "greedy", 120, 720, 4, 0, 0, 7),
+      Datasets.Spec("win", "win", 150, 900, 2, 0, 0, 7)).map(Datasets.instance(spark, _))
+    for (i <- Seq(inst, rnd) ++ shapes; t <- Seq(0, 1, 2, 8, 20)) {
       val p = OpinionDiffusion.Dense(i.profile)
       val (b0, d) = i.targetDense(Seq(1L))
       // Scenarios 0 until n, each pinning its node, and one that pins none.
@@ -278,8 +283,10 @@ class OpinionDiffusionSpec extends SparkSpec {
       def pinned(base: Array[Double]) =
         Array.tabulate(b0.length * m)(j => if (scen(j % m) == j / m) 1.0 else base(j / m))
       for ((b0, d, k) <- Seq((b0, d, 1), (p.b0, p.d, p.k), (pinned(b0), pinned(d), m))) {
-        val want = StepDiffusion.advance(i.csr, b0, d, k, t)
-        assert(OpinionDiffusion.advance(i.csr, b0, d, k, t).sameElements(want), s"n=${i.n}, t=$t, k=$k")
+        val got = OpinionDiffusion.advance(i.csr, b0, d, k, t)
+        // Both replaced kernels: one job per step, and one job over slices of the vectors.
+        assert(got.sameElements(StepDiffusion.advance(i.csr, b0, d, k, t)), s"per step: n=${i.n}, t=$t, k=$k")
+        assert(got.sameElements(SliceDiffusion.advance(i.csr, b0, d, k, t)), s"sliced: n=${i.n}, t=$t, k=$k")
       }
     }
   }

@@ -171,13 +171,20 @@ class TraversalSpec extends SparkSpec {
   test("RS, RW, RR-set selection and the sandwich's coverage greedy each run one Spark job") {
     rnd.targetScore(Plurality(2), Nil) // collects the profile and the CSR, diffuses the horizon
     val fixed = Sandwich.favorableUsers(rnd, 1)
-    val jobs = Seq(
+    val sc = spark.sparkContext
+    sc.setJobDescription("caller's description")
+    val ((jobs, described), restored) = try (JobCounter.descriptions(spark)(Seq(
       JobCounter(spark)(Methods.rs(rnd, Plurality(2), 2, seed = 3, thetaOverride = Some(300L)))._2,
       JobCounter(spark)(Methods.rw(rnd, Plurality(2), 2, seed = 4, lambdaOverride = Some(5)))._2,
       JobCounter(spark)(RRSets.select(rnd, "ic", 2, 300L, seed = 5))._2,
       JobCounter(spark)(RRSets.select(rnd, "lt", 2, 300L, seed = 6))._2,
-      JobCounter(spark)(Sandwich.coverageGreedy(rnd, fixed, 2, 1.0))._2)
+      JobCounter(spark)(Sandwich.coverageGreedy(rnd, fixed, 2, 1.0))._2)),
+      sc.getLocalProperty("spark.job.description"))
+    finally sc.setJobDescription(null)
     assert(jobs.forall(_ == 1), s"jobs of rs, rw, select ic, select lt, coverageGreedy = $jobs")
+    // Each job names its phase, and the caller's description is restored after it.
+    assert(described == Seq("walks", "walks", "RR sets", "RR sets", "reach"), s"job descriptions $described")
+    assert(restored == "caller's description")
   }
 
   test("packed walks, RR sets and reach are the rows of the tuple-form kernel") {

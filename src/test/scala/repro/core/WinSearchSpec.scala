@@ -80,5 +80,6 @@ class WinSearchSpec extends SparkSpec {
     def jobs(kMax: Int) = JobCounter(spark)(WinSearch.minSeedsToWin(loser, score, 0L until kMax.toLong))._2
     val (two, eight) = (jobs(2), jobs(8))
     assert(two == eight, s"kMax = 2: $two jobs, kMax = 8: $eight")
+    assert(two == 0, s"kMax = 2: $two jobs")
   }
 }
