@@ -1,7 +1,6 @@
 package repro.baselines
 
 import java.util.SplittableRandom
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, Instance}
@@ -23,9 +22,9 @@ import repro.core.{GraphOps, Instance}
   */
 object RRSets {
 
-  /** θ uniform roots `(rr, node)`. */
+  /** θ uniform roots `(rr, node)`, a local DataFrame. */
   def sampleRoots(spark: SparkSession, n: Long, theta: Long, seed: Long): DataFrame =
-    spark.createDataFrame(GraphOps.uniformNodes(spark.sparkContext, n, theta, seed)).toDF("rr", "node")
+    spark.createDataFrame(GraphOps.uniformNodes(n, theta, seed)).toDF("rr", "node")
 
   /** IC RR sets `(rr, node)` (roots included), a local DataFrame. */
   def sampleIC(spark: SparkSession, edges: DataFrame, roots: DataFrame,
@@ -39,21 +38,24 @@ object RRSets {
 
   private def sampleFrame(model: String, edges: DataFrame, roots: DataFrame, maxDepth: Int, seed: Long): DataFrame = {
     import roots.sparkSession.implicits._
-    val rows = roots.select(col("rr").cast("long"), col("node").cast("long")).rdd.map(r => (r.getLong(0), r.getLong(1)))
+    val rows = roots.select(col("rr").cast("long"), col("node").cast("long")).collect()
+      .map(r => (r.getLong(0), r.getLong(1))).toSeq
     sample(GraphOps.inCsr(edges), model, rows, maxDepth, seed).pairs.map(_.swap).toDF("rr", "node")
   }
 
   /** The RR set under `model` of each root `(rr, node)`, root first,
-    * grown over the in-edges `csr` with the draws of `rr`, in one job.
+    * grown over the in-edges `csr` with the draws of `rr`, on the driver.
     */
-  private[repro] def sample(csr: GraphOps.InCsr, model: String, roots: RDD[(Long, Long)],
+  private[repro] def sample(csr: GraphOps.InCsr, model: String, roots: Seq[(Long, Long)],
                             maxDepth: Int, seed: Long): GraphOps.Packed = {
-    val set: (GraphOps.InCsr, Int, SplittableRandom) => Seq[Int] = model match {
-      case "ic" => (csr, root, rng) => GraphOps.reverseBfs(csr, root, maxDepth)(e => rng.nextDouble() < csr.w(e))
-      case "lt" => (csr, root, rng) => GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
+    val set: (Int, SplittableRandom) => Array[Int] = model match {
+      case "ic" =>
+        val bfs = new GraphOps.ReverseBfs(csr)
+        (root, rng) => bfs(root, maxDepth)(e => rng.nextDouble() < csr.w(e))
+      case "lt" => (root, rng) => GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
       case other => throw new IllegalArgumentException(s"unknown diffusion model: $other")
     }
-    GraphOps.perRoot("RR sets", csr, roots)((csr, rr, root) => set(csr, root, GraphOps.draws(seed, rr)))
+    GraphOps.perRoot(roots)((rr, root) => set(root, GraphOps.draws(seed, rr)))
   }
 
   /** Greedy max coverage ([[GraphOps.maxCoverage]]): k nodes covering the
@@ -62,13 +64,12 @@ object RRSets {
   def greedyCover(rrSets: DataFrame, k: Int, n: Long): Seq[Long] =
     GraphOps.maxCoverage(rrSets.select("node", "rr"), k, n).map(_._1)
 
-  /** End-to-end baseline: sample θ RR sets under `model` and pick k seeds.
-    * The roots of [[sampleRoots]] are drawn inside the one sampling job;
-    * the greedy runs on the driver.
+  /** End-to-end baseline: sample θ RR sets under `model` from the roots
+    * of [[sampleRoots]] and pick k seeds, all on the driver.
     */
   def select(inst: Instance, model: String, k: Int, theta: Long,
              seed: Long = 47): Seq[Long] = {
-    val roots = GraphOps.uniformNodes(inst.edges.sparkSession.sparkContext, inst.n, theta, seed)
+    val roots = GraphOps.uniformNodes(inst.n, theta, seed)
     GraphOps.maxCoverage(sample(inst.csr, model, roots, inst.t, seed + 1).pairs, k, inst.n).map(_._1)
   }
 }

@@ -1,14 +1,11 @@
 package repro.core
 
 import java.util.SplittableRandom
-import org.apache.spark.SparkContext
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import scala.math.Ordering.Double.TotalOrdering
-import scala.reflect.ClassTag
 
 /** Graph substrate for the paper's opinion-diffusion algorithms.
   *
@@ -97,13 +94,13 @@ object GraphOps {
   /** Pairs `(id, node)`, `id` in `0 until count`, `node` uniform in `0 until n` from the
     * draws of `id`: every uniform walk start and RR-set root is drawn here.
     */
-  def uniformNodes(sc: SparkContext, n: Long, count: Long, seed: Long): RDD[(Long, Long)] =
-    sc.parallelize(0L until count).map(id => (id, draws(seed, id).nextLong(n)))
+  def uniformNodes(n: Long, count: Long, seed: Long): Seq[(Long, Long)] =
+    (0L until count).map(id => (id, draws(seed, id).nextLong(n)))
 
   /** Node lists packed into three arrays: list `i` belongs to root
     * `roots(i)` and holds `nodes(off(i) until off(i + 1))`.
     */
-  final class Packed(val roots: Array[Long], val off: Array[Int], val nodes: Array[Int]) extends Serializable {
+  final class Packed(val roots: Array[Long], val off: Array[Int], val nodes: Array[Int]) {
     def size: Int = roots.length
 
     /** List `i`. */
@@ -118,41 +115,49 @@ object GraphOps {
     /** The lists `(root, nodes)` of `lists`, in order. */
     def apply(lists: Seq[(Long, Seq[Int])]): Packed =
       new Packed(lists.map(_._1).toArray, lists.scanLeft(0)(_ + _._2.length).toArray, lists.flatMap(_._2).toArray)
+  }
 
-    /** `blocks` joined in order. */
-    def concat(blocks: Seq[Packed]): Packed = {
-      val ends = blocks.scanLeft(0)(_ + _.nodes.length)
-      new Packed(Array.concat(blocks.map(_.roots): _*),
-        Array.concat(Array(0) +: blocks.zip(ends).map { case (b, end) => b.off.tail.map(_ + end) }: _*),
-        Array.concat(blocks.map(_.nodes): _*))
+  /** The list `visit(root, node)` of each root `(root, node)` of `roots`,
+    * packed in root order by a plain loop on the calling thread.
+    */
+  def perRoot(roots: Seq[(Long, Long)])(visit: (Long, Int) => Array[Int]): Packed = {
+    val lists = roots.iterator.map { case (root, v) => visit(root, v.toInt) }.toArray
+    val off = lists.scanLeft(0)(_ + _.length)
+    val nodes = new Array[Int](off.last)
+    lists.indices.foreach(i => System.arraycopy(lists(i), 0, nodes, off(i), lists(i).length))
+    new Packed(roots.iterator.map(_._1).toArray, off, nodes)
+  }
+
+  /** Reverse BFS over `csr`, with one output array (also the queue) and
+    * one set of marks reused by every call.
+    */
+  final class ReverseBfs(csr: InCsr) {
+    private val out = new Array[Int](csr.off.length - 1)
+    private val seen = new Array[Boolean](out.length)
+
+    /** Nodes reaching `root` in at most `depth` hops over edges with
+      * `live`, root first, in discovery order; `live(e)` is tested once on
+      * each in-edge of a newly reached node, before its source's mark.
+      */
+    def apply(root: Int, depth: Int)(live: Int => Boolean): Array[Int] = {
+      out(0) = root
+      seen(root) = true
+      var (from, size) = (0, 1)
+      for (_ <- 1 to depth) { // an empty frontier stays empty
+        val until = size
+        while (from < until) { // while loops: this is the hot loop of reach and IC RR sets
+          var e = csr.off(out(from))
+          while (e < csr.off(out(from) + 1)) {
+            val u = csr.src(e)
+            if (live(e) && !seen(u)) { seen(u) = true; out(size) = u; size += 1 }
+            e += 1
+          }
+          from += 1
+        }
+      }
+      (0 until size).foreach(i => seen(out(i)) = false)
+      java.util.Arrays.copyOf(out, size)
     }
-  }
-
-  /** Runs `visit(shared, root, node)` on each root `(root, node)` of
-    * `roots` with `shared` broadcast, in one job described as `phase`: each
-    * task packs its lists into one [[Packed]] block, and the driver joins
-    * them in root order. The thread's previous job description is restored.
-    */
-  def perRoot[S: ClassTag](phase: String, shared: S, roots: RDD[(Long, Long)])
-                          (visit: (S, Long, Int) => Seq[Int]): Packed = {
-    val sc = roots.sparkContext
-    val (bc, previous) = (sc.broadcast(shared), sc.getLocalProperty("spark.job.description"))
-    sc.setJobDescription(phase)
-    try Packed.concat(roots.mapPartitions(rs => Iterator(Packed(rs.map { case (root, v) =>
-      (root, visit(bc.value, root, v.toInt))
-    }.toSeq))).collect().toSeq)
-    finally { sc.setJobDescription(previous); bc.destroy() }
-  }
-
-  /** Nodes reaching `root` in at most `depth` hops over edges with `live`,
-    * root first; each in-edge of a newly reached node is tested once.
-    */
-  def reverseBfs(csr: InCsr, root: Int, depth: Int)(live: Int => Boolean): Seq[Int] = {
-    val seen = mutable.LinkedHashSet(root)
-    var frontier = Seq(root)
-    for (_ <- 1 to depth) // an empty frontier stays empty
-      frontier = for (v <- frontier; e <- csr.in(v) if live(e) && seen.add(csr.src(e))) yield csr.src(e)
-    seen.toSeq
   }
 
   /** The path of a reverse walk of at most `t` steps from `start`. At node
@@ -162,19 +167,23 @@ object GraphOps {
     * edge from a node on the path, the current one included, ends it too.
     */
   def reverseWalk(csr: InCsr, start: Int, t: Int, stop: Int => Double,
-                  rng: SplittableRandom, simple: Boolean): Seq[Int] = {
-    val path = mutable.ArrayBuffer(start)
-    var step = 0
-    while (step < t && rng.nextDouble() >= stop(path.last)) {
-      val e = csr.pick(path.last, rng.nextDouble())
+                  rng: SplittableRandom, simple: Boolean): Array[Int] = {
+    var (path, size, step) = (new Array[Int](math.min(t, 15) + 1), 1, 0)
+    path(0) = start
+    while (step < t && rng.nextDouble() >= stop(path(size - 1))) {
+      val e = csr.pick(path(size - 1), rng.nextDouble())
       val u = csr.src(e)
-      if (u == path.last && csr.w(e) >= 1.0 - 1e-12 || simple && path.contains(u)) step = t
+      if (u == path(size - 1) && csr.w(e) >= 1.0 - 1e-12 || simple && (0 until size).exists(path(_) == u)) step = t
       else {
-        if (u != path.last) path += u
+        if (u != path(size - 1)) {
+          if (size == path.length) path = java.util.Arrays.copyOf(path, 2 * size)
+          path(size) = u
+          size += 1
+        }
         step += 1
       }
     }
-    path.toSeq
+    java.util.Arrays.copyOf(path, size)
   }
 
   /** Nodes within at most `t` outgoing hops of each node: rows
@@ -189,17 +198,17 @@ object GraphOps {
   /** [[reachWithin]] over the in-edges `csr`, a local DataFrame. */
   def reachWithin(spark: SparkSession, csr: InCsr, n: Long, t: Int): DataFrame = {
     import spark.implicits._
-    reach(csr, n, t).pairs.toDF("root", "node")
+    reach(csr, 0L until n, t).pairs.toDF("root", "node")
   }
 
-  /** Each node `v`'s reach set over the in-edges `csr`, in one job: the
-    * nodes reaching `v` in at most `t` hops, `v` first. Its [[Packed.pairs]]
-    * are [[reachWithin]]'s `(root, node)`.
+  /** The reach set of each node `v` of `roots` over the in-edges `csr`:
+    * the nodes reaching `v` in at most `t` hops, `v` first. Its
+    * [[Packed.pairs]] over every node are [[reachWithin]]'s `(root, node)`.
     */
-  def reach(csr: InCsr, n: Long, t: Int): Packed =
-    perRoot("reach", csr, SparkContext.getOrCreate().parallelize(0L until n).map(v => (v, v))) { (csr, _, v) =>
-      reverseBfs(csr, v, t)(_ => true)
-    }
+  def reach(csr: InCsr, roots: Seq[Long], t: Int): Packed = {
+    val bfs = new ReverseBfs(csr)
+    perRoot(roots.map(v => (v, v)))((_, v) => bfs(v, t)(_ => true))
+  }
 
   /** Greedy maximum coverage over `pairs` `(set, elem)`, whose two columns
     * are a set id in `0 until n` and an element it covers: `k` picks, each

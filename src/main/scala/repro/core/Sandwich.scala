@@ -53,16 +53,16 @@ object Sandwich {
   /** Greedy maximization of `factor * |N_S ∪ fixed|` — a max coverage
     * ([[GraphOps.maxCoverage]]) of the users outside `fixed` by the t-hop
     * reach sets. `fixed` is collected once; its users are filtered out of
-    * the reach pairs, which one Spark job returns to the driver. Returns the
-    * seeds and the exact UB value of the returned set.
+    * the reach pairs, computed on the driver. Returns the seeds and the
+    * exact UB value of the returned set.
     */
   def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) =
     coverageGreedy(inst, fixed.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet, k, factor)
 
   /** [[coverageGreedy]] with the users `fixed` on the driver. */
   private def coverageGreedy(inst: Instance, fixed: Set[Long], k: Int, factor: Double): (Seq[Long], Double) = {
-    val picks = GraphOps.maxCoverage(GraphOps.reach(inst.csr, inst.n, inst.t).pairs.filterNot(p => fixed(p._2)), k,
-      inst.n)
+    val reach = GraphOps.reach(inst.csr, 0L until inst.n, inst.t).pairs
+    val picks = GraphOps.maxCoverage(reach.filterNot(p => fixed(p._2)), k, inst.n)
     (picks.map(_._1), (fixed.size + picks.map(_._2).sum) * factor)
   }
 

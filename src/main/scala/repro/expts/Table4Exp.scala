@@ -44,10 +44,12 @@ object Table4Exp {
     val after = Sandwich.favorableUsers(inst, 1, seeds)
 
     // Switched users and the domain each top-10 seed influences the most:
-    // switched users within the seed's t-hop reach, grouped by domain.
+    // switched users within the seed's t-hop reach, grouped by domain. The
+    // users a seed reaches are those reaching it over the reversed edges.
     val switched = after.join(before, Seq("node"), "left_anti").localCheckpoint(true)
     val top10 = seeds.take(10)
-    val reach = GraphOps.reach(inst.csr, n, t).pairs.filter(p => top10.contains(p._1)).toDF("root", "node")
+    val reversed = GraphOps.inCsr(edges.select(col("dst").as("src"), col("src").as("dst"), col("w")))
+    val reach = GraphOps.reach(reversed, top10, t).pairs.toDF("node", "root")
     val domTotals = domains.groupBy("domain").agg(count(lit(1)).as("tot"))
       .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
     val seedDomain = reach.join(switched, Seq("node"))

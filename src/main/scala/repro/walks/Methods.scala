@@ -1,6 +1,5 @@
 package repro.walks
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.core._
 
@@ -31,7 +30,7 @@ object Methods {
       case None => Bounds.lambdaPerNode(inst, rho, lambdaCap = lambdaCap).collect()
         .map(r => (r.getLong(0), r.getLong(1))).toSeq
     }
-    val starts = inst.edges.sparkSession.sparkContext.parallelize(lams).flatMap((WalkGen.nodeStarts _).tupled)
+    val starts = lams.flatMap((WalkGen.nodeStarts _).tupled)
     walkGreedy(inst, score, k, starts, seed, obsIsWalk = false, scale = 1.0)
   }
 
@@ -52,14 +51,14 @@ object Methods {
         case _ => thetaCap
       }
     }
-    val starts = GraphOps.uniformNodes(inst.edges.sparkSession.sparkContext, inst.n, theta, seed)
+    val starts = GraphOps.uniformNodes(inst.n, theta, seed)
     walkGreedy(inst, score, k, starts, seed + 1, obsIsWalk = true, scale = inst.n.toDouble / theta)
   }
 
-  /** Walk greedy over one walk per start `(wid, start)`, generated and
-    * collected as packed paths in one Spark job and annotated on the driver.
+  /** Walk greedy over one walk per start `(wid, start)`, generated as
+    * packed paths and annotated on the driver.
     */
-  private def walkGreedy(inst: Instance, score: VoteScore, k: Int, starts: RDD[(Long, Long)], seed: Long,
+  private def walkGreedy(inst: Instance, score: VoteScore, k: Int, starts: Seq[(Long, Long)], seed: Long,
                          obsIsWalk: Boolean, scale: Double): WalkGreedy.Result = {
     val (b0, d) = inst.targetDense(Nil)
     WalkGreedy.select(inst, score, k, WalkGen.walks(inst.csr, d, starts, inst.t, seed), b0, obsIsWalk, scale)

@@ -1,6 +1,5 @@
 package repro.walks
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, Instance}
@@ -36,8 +35,8 @@ object WalkGen {
     val d = new Array[Double](csr.off.length - 1)
     targetStubbornness.select(col("node").cast("int"), col("d").cast("double")).collect()
       .foreach(r => d(r.getInt(0)) = r.getDouble(1))
-    val ws = walks(csr, d, starts.select(col("wid").cast("long"), col("start").cast("long")).rdd
-      .map(r => (r.getLong(0), r.getLong(1))), t, seed)
+    val ws = walks(csr, d, starts.select(col("wid").cast("long"), col("start").cast("long")).collect()
+      .map(r => (r.getLong(0), r.getLong(1))).toSeq, t, seed)
     (0 until ws.size).map { i =>
       val path = ws.nodesOf(i).map(_.toLong).toSeq
       (ws.roots(i), path.head, path, path.last)
@@ -46,13 +45,12 @@ object WalkGen {
 
   /** The path of the walk of each start `(wid, start)`, start first, over
     * the in-edges `csr` with stubbornness `d(v)` at node `v` and horizon
-    * `t`, in one job; walk `wid` draws from `GraphOps.draws(seed, wid)`.
+    * `t`, on the driver; walk `wid` draws from `GraphOps.draws(seed, wid)`.
     */
-  private[repro] def walks(csr: GraphOps.InCsr, d: Array[Double], starts: RDD[(Long, Long)], t: Int,
+  private[repro] def walks(csr: GraphOps.InCsr, d: Array[Double], starts: Seq[(Long, Long)], t: Int,
                            seed: Long): GraphOps.Packed =
-    GraphOps.perRoot("walks", (csr, d), starts) { case ((csr, d), wid, start) =>
-      GraphOps.reverseWalk(csr, start, t, d(_), GraphOps.draws(seed, wid), simple = false)
-    }
+    GraphOps.perRoot(starts)((wid, start) =>
+      GraphOps.reverseWalk(csr, start, t, d(_), GraphOps.draws(seed, wid), simple = false))
 
   /** The RW starts `(wid, start)` of node `v` with `lam >= 1` walks: walk
     * `rep` of `v` has id `v · 2^32 + rep`.
@@ -77,10 +75,10 @@ object WalkGen {
 
   /** RS starts (Alg 5): `theta` start nodes sampled uniformly at random with
     * replacement ([[GraphOps.uniformNodes]]); each sample is one observation
-    * with a single walk.
+    * with a single walk; a local DataFrame.
     */
   def sketchStarts(spark: SparkSession, n: Long, theta: Long, seed: Long): DataFrame =
-    spark.createDataFrame(GraphOps.uniformNodes(spark.sparkContext, n, theta, seed)).toDF("wid", "start")
+    spark.createDataFrame(GraphOps.uniformNodes(n, theta, seed)).toDF("wid", "start")
 
   /** The observation key and the `b0` of the end node of each walk of
     * `walks`: RS keys observations by walk id (λ=1 per sample), RW by start

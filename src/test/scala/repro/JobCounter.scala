@@ -1,14 +1,12 @@
 package repro
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.sql.SparkSession
-import scala.jdk.CollectionConverters._
 
-/** Counts the Spark jobs and stages a block of code runs, and reads their
-  * descriptions, for job-count guards.
+/** Counts the Spark jobs and stages a block of code runs, for job-count
+  * guards.
   */
 object JobCounter {
 
@@ -28,18 +26,6 @@ object JobCounter {
       override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = stages.incrementAndGet()
     })(body)
     (out, jobs.get, stages.get)
-  }
-
-  /** `body`'s result and the `spark.job.description` of each job started
-    * while it ran, in start order; `null` for a job with none.
-    */
-  def descriptions[A](spark: SparkSession)(body: => A): (A, Seq[String]) = {
-    val described = new ConcurrentLinkedQueue[Option[String]]
-    val out = listening(spark, new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        described.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))))
-    })(body)
-    (out, described.asScala.map(_.orNull).toSeq)
   }
 
   /** `body`'s result, with `listener` receiving exactly the events of the

@@ -108,6 +108,12 @@ class SandwichSpec extends SparkSpec {
     assert((jobs, stages) == (reachJobs, reachStages))
   }
 
+  test("Sandwich.run runs no Spark job once profile and CSR are collected") {
+    rnd.targetScore(Plurality(3), Nil) // collects the profile and the CSR, diffuses the horizon
+    val (res, jobs) = JobCounter(spark)(Sandwich.run(rnd, Plurality(3), k = 2))
+    assert(jobs == 0 && res.seeds.length == 2, s"jobs $jobs")
+  }
+
   test("Sandwich.run rejects k > n") {
     intercept[IllegalArgumentException](Sandwich.run(inst, Plurality(2), k = 5))
   }

@@ -4,13 +4,14 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{JobCounter, SparkSpec}
 import repro.baselines.RRSets
-import repro.expts.RunningExample
+import repro.expts.{Datasets, RunningExample}
 import repro.walks.{Bounds, Methods, WalkGen, WalkGreedy}
 
 /** The per-root traversal kernel behind reverse walks, RR sets and t-hop
   * reach: results independent of partitioning, sampling frequencies that
-  * match exact enumeration, reach that matches a plain forward BFS, and a
-  * fixed number of Spark jobs whatever the horizon.
+  * match exact enumeration, reach that matches a plain forward BFS, lists
+  * equal to those of the Spark kernel it replaced, and no Spark job beyond
+  * the collects of the DataFrame views.
   */
 class TraversalSpec extends SparkSpec {
   import spark.implicits._
@@ -96,6 +97,14 @@ class TraversalSpec extends SparkSpec {
     assert(prefix(RRSets.sampleRoots(spark, 30, 100, 4)) == prefix(RRSets.sampleRoots(spark, 30, 900, 4)))
   }
 
+  test("sketchStarts and sampleRoots match the replaced RDD views") {
+    for ((view, names, seed) <- Seq((WalkGen.sketchStarts(spark, 30, 500, 3), Seq("wid", "start"), 3L),
+                                    (RRSets.sampleRoots(spark, 30, 500, 4), Seq("rr", "node"), 4L))) {
+      val ref = spark.createDataFrame(SparkTraversal.uniformNodes(spark.sparkContext, 30, 500, seed)).toDF(names: _*)
+      assert(view.schema == ref.schema && view.collect().toSeq == ref.collect().toSeq, names)
+    }
+  }
+
   test("IC and LT RR-set inclusion frequencies match exact enumeration") {
     // Node 2 has a partial self-loop; node 4 has no in-edges, so it gets a full one.
     val raw = Seq((1L, 0L, 1.0), (2L, 0L, 2.0), (0L, 1L, 1.0), (3L, 1L, 1.0), (1L, 2L, 1.0), (2L, 2L, 1.0),
@@ -155,7 +164,7 @@ class TraversalSpec extends SparkSpec {
     }
   }
 
-  test("walks, RR sets and reach run at most 3 Spark jobs at t = 1 and t = 8") {
+  test("walks, RR sets and reach views run only their collects") {
     val starts = WalkGen.uniformStarts(spark, rnd.n, 2).localCheckpoint(true)
     val roots = RRSets.sampleRoots(spark, rnd.n, 100, 1).localCheckpoint(true)
     for (t <- Seq(1, 8)) {
@@ -164,42 +173,68 @@ class TraversalSpec extends SparkSpec {
         JobCounter(spark)(GraphOps.reachWithin(spark, rnd.edges, rnd.n, t))._2,
         JobCounter(spark)(RRSets.sampleIC(spark, rnd.edges, roots, t, 2))._2,
         JobCounter(spark)(RRSets.sampleLT(spark, rnd.edges, roots, t, 3))._2)
-      assert(jobs.forall(_ <= 3), s"t=$t: jobs of generate, reachWithin, sampleIC, sampleLT = $jobs")
+      // One job per checkpointed input collected: the edges, and the starts or roots.
+      assert(jobs == Seq(2, 1, 2, 2), s"t=$t: jobs of generate, reachWithin, sampleIC, sampleLT = $jobs")
     }
   }
 
-  test("RS, RW, RR-set selection and the sandwich's coverage greedy each run one Spark job") {
+  test("RS, RW, RR-set selection and coverageGreedy run no Spark job") {
     rnd.targetScore(Plurality(2), Nil) // collects the profile and the CSR, diffuses the horizon
     val fixed = Sandwich.favorableUsers(rnd, 1)
     val sc = spark.sparkContext
     sc.setJobDescription("caller's description")
-    val ((jobs, described), restored) = try (JobCounter.descriptions(spark)(Seq(
+    val (jobs, described) = try (Seq(
       JobCounter(spark)(Methods.rs(rnd, Plurality(2), 2, seed = 3, thetaOverride = Some(300L)))._2,
       JobCounter(spark)(Methods.rw(rnd, Plurality(2), 2, seed = 4, lambdaOverride = Some(5)))._2,
       JobCounter(spark)(RRSets.select(rnd, "ic", 2, 300L, seed = 5))._2,
       JobCounter(spark)(RRSets.select(rnd, "lt", 2, 300L, seed = 6))._2,
-      JobCounter(spark)(Sandwich.coverageGreedy(rnd, fixed, 2, 1.0))._2)),
+      JobCounter(spark)(Sandwich.coverageGreedy(rnd, fixed, 2, 1.0))._2),
       sc.getLocalProperty("spark.job.description"))
     finally sc.setJobDescription(null)
-    assert(jobs.forall(_ == 1), s"jobs of rs, rw, select ic, select lt, coverageGreedy = $jobs")
-    // Each job names its phase, and the caller's description is restored after it.
-    assert(described == Seq("walks", "walks", "RR sets", "RR sets", "reach"), s"job descriptions $described")
-    assert(restored == "caller's description")
+    assert(jobs.forall(_ == 0), s"jobs of rs, rw, select ic, select lt, coverageGreedy = $jobs")
+    assert(described == "caller's description")
   }
 
   test("packed walks, RR sets and reach are the rows of the tuple-form kernel") {
     val (_, d) = rnd.targetDense(Nil)
+    val starts = (0L until rnd.n).flatMap(WalkGen.nodeStarts(_, 3))
+    val roots = GraphOps.uniformNodes(rnd.n, 300, 51)
+    val walks = WalkGen.walks(rnd.csr, d, starts, rnd.t, 52)
     for (parts <- Seq(1, 7)) {
-      val starts = spark.sparkContext.parallelize((0L until rnd.n).flatMap(WalkGen.nodeStarts(_, 3)), parts)
-      val roots = GraphOps.uniformNodes(spark.sparkContext, rnd.n, 300, 51).repartition(parts)
-      val walks = WalkGen.walks(rnd.csr, d, starts, rnd.t, 52)
       assert((0 until walks.size).map(i => (walks.roots(i), walks.nodes(walks.off(i)).toLong,
-        walks.nodesOf(i).map(_.toLong).toSeq)) == TupleTraversal.walks(rnd.csr, d, starts, rnd.t, 52).toSeq)
+        walks.nodesOf(i).map(_.toLong).toSeq)) ==
+        TupleTraversal.walks(rnd.csr, d, spark.sparkContext.parallelize(starts, parts), rnd.t, 52).toSeq)
       for (model <- Seq("ic", "lt"))
         assert(RRSets.sample(rnd.csr, model, roots, rnd.t, 53).pairs.map(_.swap) ==
-          TupleTraversal.sample(rnd.csr, model, roots, rnd.t, 53).toSeq, model)
+          TupleTraversal.sample(rnd.csr, model, spark.sparkContext.parallelize(roots, parts), rnd.t, 53).toSeq, model)
     }
     for (t <- Seq(0, 1, 4))
-      assert(GraphOps.reach(rnd.csr, rnd.n, t).pairs == TupleTraversal.reach(rnd.csr, rnd.n, t).toSeq, s"t=$t")
+      assert(GraphOps.reach(rnd.csr, 0L until rnd.n, t).pairs == TupleTraversal.reach(rnd.csr, rnd.n, t).toSeq,
+        s"t=$t")
+  }
+
+  test("walks, RR sets and reach are sameElements of the Spark kernel") {
+    val shapes = Seq(Datasets.Spec("greedy", "greedy", 120, 720, 4, 0, 0, 7),
+      Datasets.Spec("win", "win", 150, 900, 2, 0, 0, 7)).map(Datasets.instance(spark, _))
+    def same(what: String, got: GraphOps.Packed, ref: GraphOps.Packed): Unit =
+      assert(got.roots.sameElements(ref.roots) && got.off.sameElements(ref.off) && got.nodes.sameElements(ref.nodes),
+        what)
+    var sources = 0
+    for ((inst, i) <- (rnd +: shapes).zipWithIndex; t <- Seq(0, 1, 2, 8)) {
+      val (csr, n, (_, d)) = (inst.csr, inst.n, inst.targetDense(Nil))
+      // Nodes whose only in-edge is the full self-loop of normalization are roots and starts too.
+      val selfOnly = (0 until n.toInt).filter(v => csr.in(v).size == 1 && csr.w(csr.off(v)) == 1.0)
+      sources += selfOnly.size
+      val starts = (0L until n).flatMap(WalkGen.nodeStarts(_, 3))
+      val roots = GraphOps.uniformNodes(n, 300, 61) ++ selfOnly.map(v => (1000L + v, v.toLong))
+      val sc = spark.sparkContext
+      same(s"walks $i t=$t", WalkGen.walks(csr, d, starts, t, 62),
+        SparkTraversal.walks(csr, d, sc.parallelize(starts, 4), t, 62))
+      for (model <- Seq("ic", "lt"))
+        same(s"$model $i t=$t", RRSets.sample(csr, model, roots, t, 63),
+          SparkTraversal.sample(csr, model, sc.parallelize(roots, 4), t, 63))
+      same(s"reach $i t=$t", GraphOps.reach(csr, 0L until n, t), SparkTraversal.reach(csr, n, t))
+    }
+    assert(sources > 0)
   }
 }

@@ -5,7 +5,7 @@ import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import scala.reflect.ClassTag
 
-/** The tuple-form traversal kernel that the packed [[GraphOps.perRoot]]
+/** The tuple-form traversal kernel that the packed [[SparkTraversal.perRoot]]
   * replaced, kept as a test reference: each root's visit returns one tuple
   * per output row, and the job collects every tuple. Walks, RR sets and
   * reach over it are the rows the packed lists must reproduce.
@@ -28,7 +28,7 @@ object TupleTraversal {
   def walks(csr: GraphOps.InCsr, d: Array[Double], starts: RDD[(Long, Long)], t: Int,
             seed: Long): Array[(Long, Long, Seq[Long])] =
     perRoot((csr, d), starts) { case ((csr, d), (wid, start)) =>
-      val path = GraphOps.reverseWalk(csr, start.toInt, t, d(_), GraphOps.draws(seed, wid), simple = false)
+      val path = SparkTraversal.reverseWalk(csr, start.toInt, t, d(_), GraphOps.draws(seed, wid), simple = false)
       Iterator((wid, start, path.map(_.toLong)))
     }
 
@@ -38,8 +38,8 @@ object TupleTraversal {
   def sample(csr: GraphOps.InCsr, model: String, roots: RDD[(Long, Long)],
              maxDepth: Int, seed: Long): Array[(Long, Long)] = {
     val set: (GraphOps.InCsr, Int, SplittableRandom) => Seq[Int] = model match {
-      case "ic" => (csr, root, rng) => GraphOps.reverseBfs(csr, root, maxDepth)(e => rng.nextDouble() < csr.w(e))
-      case "lt" => (csr, root, rng) => GraphOps.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
+      case "ic" => (csr, root, rng) => SparkTraversal.reverseBfs(csr, root, maxDepth)(e => rng.nextDouble() < csr.w(e))
+      case "lt" => (csr, root, rng) => SparkTraversal.reverseWalk(csr, root, maxDepth, _ => 0.0, rng, simple = true)
       case other => throw new IllegalArgumentException(s"unknown diffusion model: $other")
     }
     perRoot(csr, roots) { case (csr, (rr, root)) =>
@@ -52,6 +52,6 @@ object TupleTraversal {
     */
   def reach(csr: GraphOps.InCsr, n: Long, t: Int): Array[(Long, Long)] =
     perRoot(csr, SparkContext.getOrCreate().parallelize(0 until n.toInt)) { (csr, v) =>
-      GraphOps.reverseBfs(csr, v, t)(_ => true).iterator.map(u => (u.toLong, v.toLong))
+      SparkTraversal.reverseBfs(csr, v, t)(_ => true).iterator.map(u => (u.toLong, v.toLong))
     }
 }

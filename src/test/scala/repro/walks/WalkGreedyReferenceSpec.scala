@@ -26,25 +26,24 @@ class WalkGreedyReferenceSpec extends SparkSpec {
     RestrictedCumulative((0L until inst.n by 3).toSet, 0.5))
 
   /** Starts `(wid, start)` of RW with `lam` walks per node, `(node, lam)`. */
-  private def rwStarts(lams: Seq[(Long, Long)]): RDD[(Long, Long)] =
-    spark.sparkContext.parallelize(lams).flatMap((WalkGen.nodeStarts _).tupled)
+  private def rwStarts(lams: Seq[(Long, Long)]): Seq[(Long, Long)] = lams.flatMap((WalkGen.nodeStarts _).tupled)
 
   /** RW with uniform and per-node λ and RS walks of `inst`: each set's name,
     * starts, whether an observation is a walk, and its scale.
     */
-  private def walkSets(inst: Instance): Seq[(String, RDD[(Long, Long)], Boolean, Double)] = {
+  private def walkSets(inst: Instance): Seq[(String, Seq[(Long, Long)], Boolean, Double)] = {
     val perNode = Bounds.lambdaPerNode(inst, 0.9, lambdaCap = 6).collect().map(r => (r.getLong(0), r.getLong(1)))
     val theta = 2000L
     Seq(("RW uniform", rwStarts((0L until inst.n).map(_ -> 8L)), false, 1.0),
       ("RW per-node", rwStarts(perNode.toSeq), false, 1.0),
-      ("RS", GraphOps.uniformNodes(spark.sparkContext, inst.n, theta, 41), true, inst.n.toDouble / theta))
+      ("RS", GraphOps.uniformNodes(inst.n, theta, 41), true, inst.n.toDouble / theta))
   }
 
   test("select is == the boxed greedy: RW (uniform and per-node λ) and RS, six scores, k = 1, 3, 10") {
     for ((name, inst) <- instances; (set, starts, obsIsWalk, scale) <- walkSets(inst)) {
       val (b0, d) = inst.targetDense(Nil)
       val packed = WalkGen.walks(inst.csr, d, starts, inst.t, 43)
-      val rows = TupleTraversal.walks(inst.csr, d, starts, inst.t, 43)
+      val rows = TupleTraversal.walks(inst.csr, d, spark.sparkContext.parallelize(starts), inst.t, 43)
         .map(BoxedWalkGreedy.annotated(_, b0, obsIsWalk)).toSeq
       for (score <- scores(inst); k <- Seq(1, 3, 10) if k <= inst.n) {
         val got = WalkGreedy.select(inst, score, k, packed, b0, obsIsWalk, scale)
@@ -80,11 +79,12 @@ class WalkGreedyReferenceSpec extends SparkSpec {
         BoxedWalkGreedy.select(inst, score, k, TupleTraversal.walks(inst.csr, d, starts, inst.t, seed)
           .map(BoxedWalkGreedy.annotated(_, b0, obsIsWalk)).toSeq, scale)
       val rs = Methods.rs(inst, Plurality(inst.r), 4, seed = 29, thetaOverride = Some(20000L))
-      val rsRef = boxed(Plurality(inst.r), 4, GraphOps.uniformNodes(spark.sparkContext, inst.n, 20000L, 29), 30,
+      val rsRef = boxed(Plurality(inst.r), 4, SparkTraversal.uniformNodes(spark.sparkContext, inst.n, 20000L, 29), 30,
         obsIsWalk = true, inst.n / 20000.0)
       assert((rs.seeds, rs.estScores) == (rsRef.seeds, rsRef.estScores), s"$name: RS")
       val rw = Methods.rw(inst, Cumulative, 4, seed = 31, lambdaOverride = Some(30))
-      val rwRef = boxed(Cumulative, 4, rwStarts((0L until inst.n).map(_ -> 30L)), 31, obsIsWalk = false, 1.0)
+      val rwRef = boxed(Cumulative, 4, spark.sparkContext.parallelize(rwStarts((0L until inst.n).map(_ -> 30L))), 31,
+        obsIsWalk = false, 1.0)
       assert((rw.seeds, rw.estScores) == (rwRef.seeds, rwRef.estScores), s"$name: RW")
     }
   }
