@@ -192,13 +192,9 @@ object GraphOps {
     * (Def 2) for every possible seed `s` at once, from a reverse BFS of
     * every `node`.
     */
-  def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame =
-    reachWithin(spark, inCsr(edges), n, t)
-
-  /** [[reachWithin]] over the in-edges `csr`, a local DataFrame. */
-  def reachWithin(spark: SparkSession, csr: InCsr, n: Long, t: Int): DataFrame = {
+  def reachWithin(spark: SparkSession, edges: DataFrame, n: Long, t: Int): DataFrame = {
     import spark.implicits._
-    reach(csr, 0L until n, t).pairs.toDF("root", "node")
+    reach(inCsr(edges), 0L until n, t).pairs.toDF("root", "node")
   }
 
   /** The reach set of each node `v` of `roots` over the in-edges `csr`:
@@ -210,19 +206,13 @@ object GraphOps {
     perRoot(roots.map(v => (v, v)))((_, v) => bfs(v, t)(_ => true))
   }
 
-  /** Greedy maximum coverage over `pairs` `(set, elem)`, whose two columns
-    * are a set id in `0 until n` and an element it covers: `k` picks, each
-    * the set covering the most elements not yet covered, ties to the smaller
-    * id. Once every element is covered, the smallest unpicked id is picked.
-    * Returns each pick with its new coverage (the number of elements it
-    * covers first). The pairs are collected once; the greedy runs on the
-    * driver. Coverage is submodular, so greedy is (1-1/e)-approximate.
+  /** Greedy maximum coverage over `pairs` `(set, elem)`: a set id in
+    * `0 until n` and an element it covers. `k` picks, each the set covering
+    * the most elements not yet covered, ties to the smaller id. Once every
+    * element is covered, the smallest unpicked id is picked. Returns each
+    * pick with its new coverage (the number of elements it covers first).
+    * Coverage is submodular, so greedy is (1-1/e)-approximate.
     */
-  def maxCoverage(pairs: DataFrame, k: Int, n: Long): Seq[(Long, Long)] =
-    maxCoverage(pairs.toDF("set", "elem").select(col("set").cast("long"), col("elem").cast("long")).collect()
-      .map(r => (r.getLong(0), r.getLong(1))), k, n)
-
-  /** [[maxCoverage]] of pairs `(set, elem)` on the driver. */
   def maxCoverage(pairs: Iterable[(Long, Long)], k: Int, n: Long): Seq[(Long, Long)] = {
     require(k >= 1 && k <= n, s"k=$k out of range [1, $n]")
     val elems = pairs.groupMap(_._1)(_._2)

@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-
 /** Sandwich approximation (Algorithm 3, §IV) for the non-submodular scores.
   *
   * Plurality variants: lower bound `LB(S) = w[p] * sum_{v in Vq} b_qv[S]`
@@ -28,39 +25,22 @@ object Sandwich {
 
   /** Favorable users set `Vq` (Def 1): users ranking the target within the
     * top `p` at the horizon with `seeds` for the target (the sandwich uses
-    * none), that is, with a positive p-approval term. Single-column `(node)`,
-    * a local DataFrame.
+    * none), that is, with a positive p-approval term; ascending. With
+    * `p = r - 1` it is the weakly favorable users set `Uq` (Def 5): users
+    * not ranking the target last.
     */
-  def favorableUsers(inst: Instance, p: Int, seeds: Seq[Long] = Nil): DataFrame = {
-    val spark = inst.edges.sparkSession
-    import spark.implicits._
-    favorable(inst, p, seeds).toDF("node")
-  }
-
-  /** [[favorableUsers]] on the driver, ascending. */
-  private def favorable(inst: Instance, p: Int, seeds: Seq[Long]): Seq[Long] = {
+  private[repro] def favorable(inst: Instance, p: Int, seeds: Seq[Long]): Seq[Long] = {
     val approval = PApproval(p, inst.r)
     val b = inst.targetOpinions(seeds)
     b.indices.filter(v => approval.voterTerms(v, b(v), inst.competitors(v)).exists(_._2 > 0)).map(_.toLong)
   }
 
-  /** Weakly favorable users set `Uq` (Def 5): users preferring the target to
-    * at least one other candidate at the horizon with no seeds — those not
-    * ranking it last, i.e. `Vq` with `p = r - 1`.
-    */
-  def weaklyFavorableUsers(inst: Instance): DataFrame = favorableUsers(inst, inst.r - 1)
-
   /** Greedy maximization of `factor * |N_S ∪ fixed|` — a max coverage
     * ([[GraphOps.maxCoverage]]) of the users outside `fixed` by the t-hop
-    * reach sets. `fixed` is collected once; its users are filtered out of
-    * the reach pairs, computed on the driver. Returns the seeds and the
-    * exact UB value of the returned set.
+    * reach sets, on the driver. Returns the seeds and the exact UB value of
+    * the returned set.
     */
-  def coverageGreedy(inst: Instance, fixed: DataFrame, k: Int, factor: Double): (Seq[Long], Double) =
-    coverageGreedy(inst, fixed.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet, k, factor)
-
-  /** [[coverageGreedy]] with the users `fixed` on the driver. */
-  private def coverageGreedy(inst: Instance, fixed: Set[Long], k: Int, factor: Double): (Seq[Long], Double) = {
+  private[repro] def coverageGreedy(inst: Instance, fixed: Set[Long], k: Int, factor: Double): (Seq[Long], Double) = {
     val reach = GraphOps.reach(inst.csr, 0L until inst.n, inst.t).pairs
     val picks = GraphOps.maxCoverage(reach.filterNot(p => fixed(p._2)), k, inst.n)
     (picks.map(_._1), (fixed.size + picks.map(_._2).sum) * factor)

@@ -165,12 +165,6 @@ final case class RestrictedCumulative(members: Set[Long], factor: Double) extend
   override def finish(partTotals: Iterable[Double]): Double = factor * partTotals.sum
 }
 
-object RestrictedCumulative {
-  /** The score restricted to the nodes of single-column `(node)`, collected here. */
-  def apply(nodes: DataFrame, factor: Double): RestrictedCumulative =
-    RestrictedCumulative(nodes.select(col("node").cast("long")).collect().map(_.getLong(0)).toSet, factor)
-}
-
 /** Copeland score (Eq 7): number of one-on-one competitions the candidate
   * wins (strictly more users prefer it than prefer the opponent). Part `j`
   * is the `j`-th competitor: it sums each voter's `+1 / −1 / 0` for

@@ -1,7 +1,7 @@
 package repro.expts
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import repro.SynthSocial
 import repro.core.{GraphOps, Instance, Plurality, Sandwich}
 import repro.walks.Methods
@@ -29,7 +29,6 @@ object Table4Exp {
 
   def run(spark: SparkSession, n: Long = 1200, m: Long = 9600,
           k: Int = 25, t: Int = 10, lambda: Int = 20, seed: Long = 601): Out = {
-    import spark.implicits._
     val domains = SynthSocial.domains(spark, n, 7, seed).localCheckpoint(true)
     val edges = GraphOps.normalize(spark, SynthSocial.rawEdges(spark, n, m, seed + 1), n)
       .localCheckpoint(true)
@@ -40,49 +39,34 @@ object Table4Exp {
     val seeds = Methods.rw(inst, Plurality(2), k, seed = seed + 3,
       lambdaOverride = Some(lambda)).seeds
     // Users voting for the target: those ranking it strictly top (p = 1).
-    val before = Sandwich.favorableUsers(inst, 1)
-    val after = Sandwich.favorableUsers(inst, 1, seeds)
+    val before = Sandwich.favorable(inst, 1, Nil).toSet
+    val after = Sandwich.favorable(inst, 1, seeds).toSet
+    val switched = after -- before
+    val memberships = domains.select(col("node"), col("domain")).collect().map(r => (r.getLong(0), r.getInt(1)))
+    val domainsOf = memberships.groupMap(_._1)(_._2)
+    val members = memberships.groupMap(_._2)(_._1)
 
-    // Switched users and the domain each top-10 seed influences the most:
-    // switched users within the seed's t-hop reach, grouped by domain. The
-    // users a seed reaches are those reaching it over the reversed edges.
-    val switched = after.join(before, Seq("node"), "left_anti").localCheckpoint(true)
-    val top10 = seeds.take(10)
+    // The domain each top-10 seed influences the most: switched users within
+    // the seed's t-hop reach, counted by domain and normalized by domain size
+    // so the largest domain does not absorb every seed. The users a seed
+    // reaches are those reaching it over the reversed edges.
     val reversed = GraphOps.inCsr(edges.select(col("dst").as("src"), col("src").as("dst"), col("w")))
-    val reach = GraphOps.reach(reversed, top10, t).pairs.toDF("node", "root")
-    val domTotals = domains.groupBy("domain").agg(count(lit(1)).as("tot"))
-      .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    val seedDomain = reach.join(switched, Seq("node"))
-      .join(domains, Seq("node"))
-      .groupBy("root", "domain").agg(count(lit(1)).as("c"))
-      .collect().groupBy(_.getLong(0))
-      .map { case (root, rows) =>
-        // Most-influenced domain, normalized by domain size so the largest
-        // domain does not absorb every seed.
-        root -> rows.maxBy { r =>
-          (r.getLong(2).toDouble / domTotals(r.getInt(1)), -r.getInt(1))
-        }.getInt(1)
-      }
+    val reach = GraphOps.reach(reversed, seeds.take(10), t)
+    val seedDomain = (0 until reach.size).flatMap { i =>
+      reach.nodesOf(i).toSeq.map(_.toLong).filter(switched).flatMap(domainsOf.getOrElse(_, Array.emptyIntArray))
+        .groupMapReduce(identity)(_ => 1L)(_ + _)
+        .maxByOption { case (d, c) => (c.toDouble / members(d).length, -d) }
+        .map(reach.roots(i) -> _._1)
+    }
 
-    val domBias = domains.withColumn("bias", (col("domain") % 3 - 1) * lit(0.25))
-      .groupBy("domain").agg(first("bias").as("bias"), count(lit(1)).as("total"))
-    val perDomain = domBias
-      .join(domains.join(before, Seq("node")).groupBy("domain")
-        .agg(count(lit(1)).as("beforeV")), Seq("domain"), "left")
-      .join(domains.join(after, Seq("node")).groupBy("domain")
-        .agg(count(lit(1)).as("afterV")), Seq("domain"), "left")
-      .orderBy("domain").collect()
+    val rows = members.keys.toSeq.sorted.map { d =>
+      DomainRow(d, (d % 3 - 1) * 0.25, members(d).length.toLong,
+        members(d).count(before).toLong, members(d).count(after).toLong,
+        seedDomain.collect { case (s, `d`) => s }.sorted)
+    }
 
-    val rows = perDomain.map { r =>
-      val d = r.getInt(0)
-      DomainRow(d, r.getDouble(1), r.getLong(2),
-        if (r.isNullAt(3)) 0L else r.getLong(3),
-        if (r.isNullAt(4)) 0L else r.getLong(4),
-        seedDomain.collect { case (s, dom) if dom == d => s }.toSeq.sorted)
-    }.toSeq
-
-    val beforeTotal = before.count()
-    val afterTotal = after.count()
+    val beforeTotal = before.size.toLong
+    val afterTotal = after.size.toLong
     val header = Harness.render(
       s"Table IV - case study (synthetic stand-in, n=$n, k=$k, t=$t); " +
         f"overall voters: $beforeTotal (${100.0 * beforeTotal / n}%.1f%%) -> " +

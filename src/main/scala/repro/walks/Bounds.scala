@@ -1,6 +1,5 @@
 package repro.walks
 
-import org.apache.spark.sql.DataFrame
 import repro.core.{Cumulative, Instance}
 
 /** Walk-count bounds of §V-C and §VI.
@@ -39,19 +38,16 @@ object Bounds {
     * sets; we substitute the ∅-seed gap floored at `gammaFloor` and cap the
     * resulting λ at `lambdaCap` — smaller γ would only demand *more* walks,
     * and the cap bounds the walk budget like the paper's α-start heuristic.
-    * Rows `(node, lam)`, a local DataFrame computed on the driver from the
-    * instance's horizon.
+    * Pairs `(node, lam)` in node order, from the instance's horizon.
     */
   def lambdaPerNode(inst: Instance, rho: Double,
-                    gammaFloor: Double = 0.05, lambdaCap: Int = 2000): DataFrame = {
-    val spark = inst.edges.sparkSession
-    import spark.implicits._
+                    gammaFloor: Double = 0.05, lambdaCap: Int = 2000): Seq[(Long, Long)] = {
     val c = math.log(2.0 / (1.0 - rho)) / 2.0
     val b = inst.targetOpinions(Nil)
     b.indices.map { v =>
       val gamma = math.max(inst.competitors(v).map(x => math.abs(x - b(v))).min, gammaFloor)
       (v.toLong, math.min(lambdaCap.toLong, math.ceil(c / (gamma * gamma)).toLong))
-    }.toDF("node", "lam")
+    }
   }
 
   /** ln C(n, k) via a log-sum (exact, no overflow). */

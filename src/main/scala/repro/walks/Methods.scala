@@ -27,8 +27,7 @@ object Methods {
     val lams = lambdaOverride.orElse(Option.when(score == Cumulative)(
       math.min(lambdaCap, Bounds.lambdaCumulative(delta, rho)))) match {
       case Some(lam) => (0L until inst.n).map(_ -> lam.toLong)
-      case None => Bounds.lambdaPerNode(inst, rho, lambdaCap = lambdaCap).collect()
-        .map(r => (r.getLong(0), r.getLong(1))).toSeq
+      case None => Bounds.lambdaPerNode(inst, rho, lambdaCap = lambdaCap)
     }
     val starts = lams.flatMap((WalkGen.nodeStarts _).tupled)
     walkGreedy(inst, score, k, starts, seed, obsIsWalk = false, scale = 1.0)

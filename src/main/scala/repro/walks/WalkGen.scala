@@ -73,13 +73,6 @@ object WalkGen {
     startsPerNode(spark, spark.range(n).select(col("id").as("node"), lit(lambda).as("lam")))
   }
 
-  /** RS starts (Alg 5): `theta` start nodes sampled uniformly at random with
-    * replacement ([[GraphOps.uniformNodes]]); each sample is one observation
-    * with a single walk; a local DataFrame.
-    */
-  def sketchStarts(spark: SparkSession, n: Long, theta: Long, seed: Long): DataFrame =
-    spark.createDataFrame(GraphOps.uniformNodes(n, theta, seed)).toDF("wid", "start")
-
   /** The observation key and the `b0` of the end node of each walk of
     * `walks`: RS keys observations by walk id (λ=1 per sample), RW by start
     * node (λ_v walks averaged).

@@ -33,12 +33,6 @@ object WalkGreedy {
   /** Ordered seeds and the estimated target score after each pick. */
   final case class Result(seeds: Seq[Long], estScores: Seq[Double])
 
-  /** Mark walks covered by `seeds` (path intersects the seed set). */
-  def applyCover(state: DataFrame, seeds: Seq[Long]): DataFrame =
-    if (seeds.isEmpty) state
-    else state.withColumn("covered",
-      col("covered") || arrays_overlap(col("path"), array(seeds.map(lit): _*)))
-
   /** Indexes of `keys` in ascending key order, equal keys in index order. */
   private def ascending(keys: Array[Long]): Array[Int] =
     if (keys.indices.drop(1).forall(i => keys(i - 1) <= keys(i))) keys.indices.toArray
@@ -108,22 +102,12 @@ object WalkGreedy {
       score, comp)
   }
 
-  /** Estimated target score of the current cover state: the score's finish
-    * on its part totals over the observations, scaled by `scale`.
-    * `compOps` `(node, cand, b)` is only evaluated by ranked scores.
-    */
-  def scoreEstimate(state: DataFrame, score: VoteScore, compOps: => DataFrame,
-                    scale: Double): Double = {
-    lazy val byNode = VoteScore.competitorsByNode(compOps)
-    val walks = collected(state, score, v => byNode.getOrElse(v, Array.emptyDoubleArray))
-    finishScaled(score, totals(Array.tabulate(walks.obsCount)(o => walks.terms(o, walks.estimate(o)))), scale)
-  }
-
   /** Greedy selection of `k` seeds by maximum *estimated* marginal gain
     * (Alg 4 line 6 / Alg 5 line 6), truncating walks after each pick.
     *
-    * The part totals of [[scoreEstimate]] are kept with each observation's
-    * terms. Each round scans every candidate `w` on an uncovered walk in
+    * The estimate of a cover state is the score's finish on the part
+    * totals of the observations' terms, scaled by `scale`; the totals are
+    * kept with each observation's terms. Each round scans every candidate `w` on an uncovered walk in
     * ascending id order: it sums `1 − b0end` over those walks per
     * observation, in ascending walk order, and from the moved estimates the
     * change `Δw` in the part totals that adding `w` causes, each

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.GraphOps
 import repro.expts.{Datasets, RunningExample}
@@ -19,63 +18,63 @@ class RRSetsSpec extends SparkSpec {
   }
 
   test("roots are within range and theta rows are produced") {
-    val roots = RRSets.sampleRoots(spark, rnd.n, 300, seed = 1)
-    assert(roots.count() == 300)
-    assert(roots.filter(col("node") < 0 || col("node") >= rnd.n).count() == 0)
+    val roots = GraphOps.uniformNodes(rnd.n, 300, seed = 1)
+    assert(roots.size == 300)
+    assert(roots.forall { case (_, v) => v >= 0 && v < rnd.n })
+    // With replacement: expect collisions for 300 draws over 25 nodes.
+    assert(roots.map(_._2).distinct.size < 300)
   }
 
   test("every RR set contains its root") {
-    val roots = RRSets.sampleRoots(spark, rnd.n, 100, seed = 2)
+    val roots = GraphOps.uniformNodes(rnd.n, 100, seed = 2)
     for (model <- Seq("ic", "lt")) {
-      val rr = if (model == "ic") RRSets.sampleIC(spark, rnd.edges, roots, 3, 3)
-               else RRSets.sampleLT(spark, rnd.edges, roots, 3, 3)
-      val missing = roots.join(rr, Seq("rr", "node"), "left_anti").count()
+      val rr = RRSets.sample(GraphOps.inCsr(rnd.edges), model, roots, 3, 3).pairs.map(_.swap).toSet
+      val missing = roots.count(!rr(_))
       assert(missing == 0, model)
     }
   }
 
   test("IC with weight-1 edges is full reverse reachability (chain)") {
-    val roots = Seq((0L, 3L)).toDF("rr", "node") // root at the chain's end
-    val rr = RRSets.sampleIC(spark, chain.edges, roots, maxDepth = 3, seed = 4)
-    assert(rr.collect().map(_.getLong(1)).toSet == Set(0L, 1L, 2L, 3L))
+    val roots = Seq((0L, 3L)) // root at the chain's end
+    val rr = RRSets.sample(GraphOps.inCsr(chain.edges), "ic", roots, maxDepth = 3, seed = 4)
+    assert(rr.nodes.map(_.toLong).toSet == Set(0L, 1L, 2L, 3L))
   }
 
   test("IC respects maxDepth") {
-    val roots = Seq((0L, 3L)).toDF("rr", "node")
-    val rr = RRSets.sampleIC(spark, chain.edges, roots, maxDepth = 1, seed = 5)
-    assert(rr.collect().map(_.getLong(1)).toSet == Set(2L, 3L))
+    val roots = Seq((0L, 3L))
+    val rr = RRSets.sample(GraphOps.inCsr(chain.edges), "ic", roots, maxDepth = 1, seed = 5)
+    assert(rr.nodes.map(_.toLong).toSet == Set(2L, 3L))
   }
 
   test("LT RR sets are reverse paths: at most maxDepth+1 nodes per set") {
-    val roots = RRSets.sampleRoots(spark, rnd.n, 200, seed = 6)
-    val rr = RRSets.sampleLT(spark, rnd.edges, roots, maxDepth = 3, seed = 7)
-    val sizes = rr.groupBy("rr").count().agg(max("count")).head.getLong(0)
+    val roots = GraphOps.uniformNodes(rnd.n, 200, seed = 6)
+    val rr = RRSets.sample(GraphOps.inCsr(rnd.edges), "lt", roots, maxDepth = 3, seed = 7)
+    val sizes = (0 until rr.size).map(i => rr.off(i + 1) - rr.off(i)).max
     assert(sizes <= 4)
   }
 
   test("LT on the deterministic chain walks back to the source") {
-    val roots = Seq((0L, 3L)).toDF("rr", "node")
-    val rr = RRSets.sampleLT(spark, chain.edges, roots, maxDepth = 3, seed = 8)
-    assert(rr.collect().map(_.getLong(1)).toSet == Set(0L, 1L, 2L, 3L))
+    val roots = Seq((0L, 3L))
+    val rr = RRSets.sample(GraphOps.inCsr(chain.edges), "lt", roots, maxDepth = 3, seed = 8)
+    assert(rr.nodes.map(_.toLong).toSet == Set(0L, 1L, 2L, 3L))
   }
 
   test("LT stops at weight-1 self-loops (sources)") {
-    val roots = Seq((0L, 3L)).toDF("rr", "node")
-    val rr = RRSets.sampleLT(spark, chain.edges, roots, maxDepth = 10, seed = 9)
-    assert(rr.count() == 4) // no infinite self-loop looping
+    val roots = Seq((0L, 3L))
+    val rr = RRSets.sample(GraphOps.inCsr(chain.edges), "lt", roots, maxDepth = 10, seed = 9)
+    assert(rr.nodes.length == 4) // no infinite self-loop looping
   }
 
-  test("greedyCover picks the node covering the most RR sets") {
+  test("maxCoverage picks the node covering the most RR sets") {
     val rr = Seq((0L, 5L), (0L, 6L), (1L, 5L), (2L, 5L), (3L, 7L))
-      .toDF("rr", "node")
-    val seeds = RRSets.greedyCover(rr, 2, 10)
+    val seeds = GraphOps.maxCoverage(rr.map(_.swap), 2, 10).map(_._1)
     assert(seeds.head == 5L)       // covers RR sets 0,1,2
     assert(seeds(1) == 7L)         // covers the remaining set 3
   }
 
-  test("greedyCover falls back to unused nodes when all sets are covered") {
-    val rr = Seq((0L, 5L)).toDF("rr", "node")
-    val seeds = RRSets.greedyCover(rr, 3, 10)
+  test("maxCoverage falls back to unused nodes when all sets are covered") {
+    val rr = Seq((0L, 5L))
+    val seeds = GraphOps.maxCoverage(rr.map(_.swap), 3, 10).map(_._1)
     assert(seeds.length == 3 && seeds.distinct.length == 3 && seeds.head == 5L)
   }
 
@@ -93,10 +92,10 @@ class RRSetsSpec extends SparkSpec {
 
   test("IC seeds beat random seeds on expected coverage (sanity of the baseline)") {
     val s = RRSets.select(rnd, "ic", 3, theta = 600, seed = 11)
-    val roots = RRSets.sampleRoots(spark, rnd.n, 600, seed = 12)
-    val rr = RRSets.sampleIC(spark, rnd.edges, roots, rnd.t, seed = 13).localCheckpoint(true)
+    val roots = GraphOps.uniformNodes(rnd.n, 600, seed = 12)
+    val rr = RRSets.sample(GraphOps.inCsr(rnd.edges), "ic", roots, rnd.t, seed = 13)
     def coverage(seeds: Seq[Long]): Long =
-      rr.filter(col("node").isInCollection(seeds)).select("rr").distinct().count()
+      (0 until rr.size).count(i => rr.nodesOf(i).exists(v => seeds.contains(v.toLong))).toLong
     val randomSeeds = Seq(1L, 7L, 13L)
     assert(coverage(s) >= coverage(randomSeeds))
   }

@@ -91,7 +91,7 @@ class RunningExampleSpec extends SparkSpec {
     for (seed <- Seq(4L, -1L)) {
       val calls: Seq[() => Any] = Seq(() => inst.targetScore(Cumulative, Seq(0L, seed)),
         () => inst.wins(Plurality(2), Seq(seed)), () => inst.opinions(Seq(seed)),
-        () => inst.targetProfile(Seq(seed)), () => Sandwich.favorableUsers(inst, 1, Seq(seed)))
+        () => inst.targetProfile(Seq(seed)), () => Sandwich.favorable(inst, 1, Seq(seed)))
       for (call <- calls) {
         val e = intercept[IllegalArgumentException](call())
         assert(e.getMessage.contains(s"seed $seed") && e.getMessage.contains("[0, 4)"), e.getMessage)

@@ -5,13 +5,14 @@ import repro.{JobCounter, SparkSpec}
 import repro.expts.{Datasets, RunningExample}
 
 class SandwichSpec extends SparkSpec {
+  import spark.implicits._
 
   private lazy val inst = RunningExample.instance(spark)
   private lazy val rnd = Datasets.instance(spark,
     Datasets.Spec("tiny-sw", "tiny", 20, 70, 3, 0, 0, 223), t = 2)
 
   private def lbOf(i: Instance, p: Int, wP: Double, seeds: Seq[Long]): Double = {
-    val vq = Sandwich.favorableUsers(i, p)
+    val vq = Sandwich.favorable(i, p, Nil).toSet
     RestrictedCumulative(vq, wP).exact(i.opinions(seeds), i.q)
   }
 
@@ -19,19 +20,19 @@ class SandwichSpec extends SparkSpec {
     val reach = GraphOps.reachWithin(spark, i.edges, i.n, i.t)
     val ns = reach.filter(col("root").isInCollection(if (seeds.isEmpty) Seq(-1L) else seeds))
       .select("node")
-    val vq = Sandwich.favorableUsers(i, p)
+    val vq = Sandwich.favorable(i, p, Nil).toDF("node")
     ns.unionByName(vq).distinct().count() * w1
   }
 
   test("favorable users on the running example (plurality, no seeds)") {
     // t=1 target (0.40,0.80,0.60,0.75) vs c2 (0.35,0.75,0.78,0.90): users 1,2.
-    val vq = Sandwich.favorableUsers(inst, p = 1).collect().map(_.getLong(0)).toSet
+    val vq = Sandwich.favorable(inst, p = 1, Nil).toSet
     assert(vq == Set(0L, 1L))
   }
 
   test("weakly favorable users on the running example") {
     // With r=2 weakly favorable = favorable = {users 1,2}.
-    val uq = Sandwich.weaklyFavorableUsers(inst).collect().map(_.getLong(0)).toSet
+    val uq = Sandwich.favorable(inst, inst.r - 1, Nil).toSet
     assert(uq == Set(0L, 1L))
   }
 
@@ -57,7 +58,7 @@ class SandwichSpec extends SparkSpec {
       val uqNs = {
         val reach = GraphOps.reachWithin(spark, rnd.edges, rnd.n, rnd.t)
           .filter(col("root").isInCollection(seeds)).select("node")
-        Sandwich.weaklyFavorableUsers(rnd).unionByName(reach).distinct().count()
+        Sandwich.favorable(rnd, rnd.r - 1, Nil).toDF("node").unionByName(reach).distinct().count()
       }
       assert(f <= uqNs * factor + 1e-9, s"F=$f > UB for $seeds")
     }
@@ -65,45 +66,36 @@ class SandwichSpec extends SparkSpec {
 
   test("coverageGreedy maximizes coverage on a hand instance") {
     // Star: node 0 reaches everything in 1 hop; it must be picked first.
-    import spark.implicits._
     val raw = (1L until 6L).map(v => (0L, v, 1.0)).toDF("src", "dst", "w")
     val star = Instance(GraphOps.normalize(spark, raw, 6),
       RunningExample.instance(spark).profile, 6, 2, 0, 1)
-    val empty = Seq.empty[Long].toDF("node")
-    val (seeds, ub) = Sandwich.coverageGreedy(star, empty, 1, 1.0)
+    val (seeds, ub) = Sandwich.coverageGreedy(star, Set.empty, 1, 1.0)
     assert(seeds == Seq(0L))
     assert(ub == 6.0)
   }
 
   test("coverageGreedy UB value is exact for the returned set") {
-    val empty = {
-      import spark.implicits._
-      Seq.empty[Long].toDF("node")
-    }
-    val (seeds, ub) = Sandwich.coverageGreedy(rnd, empty, 2, 0.5)
+    val (seeds, ub) = Sandwich.coverageGreedy(rnd, Set.empty, 2, 0.5)
     val reach = GraphOps.reachWithin(spark, rnd.edges, rnd.n, rnd.t)
       .filter(col("root").isInCollection(seeds)).select("node").distinct().count()
     assert(math.abs(ub - reach * 0.5) < 1e-9)
   }
 
   test("coverageGreedy UB with a fixed set overlapping the reach sets is factor * |N_S ∪ fixed|") {
-    import spark.implicits._
     val reach = GraphOps.reachWithin(spark, rnd.edges, rnd.n, rnd.t)
     // The users reached from node 0, and node 1, are fixed (already covered).
-    val fixed = reach.filter(col("root") === 0L).select("node").union(Seq(1L).toDF("node"))
+    val fixed = reach.filter(col("root") === 0L).select("node").as[Long].collect().toSet + 1L
     val (seeds, ub) = Sandwich.coverageGreedy(rnd, fixed, 3, 0.5)
-    val union = reach.filter(col("root").isInCollection(seeds)).select("node")
-      .unionByName(fixed).distinct().count()
+    val union = (reach.filter(col("root").isInCollection(seeds)).select("node").as[Long].collect() ++ fixed)
+      .distinct.length
     assert(seeds.length == 3 && seeds.distinct.length == 3)
     assert(math.abs(ub - union * 0.5) < 1e-9, s"UB $ub vs |N_S ∪ fixed| = $union")
   }
 
   test("coverageGreedy submits no stage beyond those of reachWithin") {
-    import spark.implicits._
-    val fixed = Seq(1L, 4L, 7L).toDF("node")
+    val fixed = Set(1L, 4L, 7L)
     rnd.csr // collected before counting
-    val (_, reachJobs, reachStages) =
-      JobCounter.withStages(spark)(GraphOps.reachWithin(spark, rnd.csr, rnd.n, rnd.t).collect())
+    val (_, reachJobs, reachStages) = JobCounter.withStages(spark)(GraphOps.reach(rnd.csr, 0L until rnd.n, rnd.t))
     val (_, jobs, stages) = JobCounter.withStages(spark)(Sandwich.coverageGreedy(rnd, fixed, 3, 0.5))
     assert((jobs, stages) == (reachJobs, reachStages))
   }

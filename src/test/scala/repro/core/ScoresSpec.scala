@@ -79,13 +79,12 @@ class ScoresSpec extends SparkSpec {
   }
 
   test("RestrictedCumulative restricts and scales") {
-    val nodes = Seq(0L, 1L).toDF("node")
-    val s = RestrictedCumulative(nodes, 0.5)
+    val s = RestrictedCumulative(Set(0L, 1L), 0.5)
     assert(math.abs(s.exact(ops, 0) - 0.5 * (0.9 + 0.5)) < 1e-12)
   }
 
   test("RestrictedCumulative on an empty node set is 0") {
-    val s = RestrictedCumulative(Seq.empty[Long].toDF("node"), 1.0)
+    val s = RestrictedCumulative(Set.empty, 1.0)
     assert(s.exact(ops, 0) == 0.0)
   }
 
@@ -101,7 +100,7 @@ class ScoresSpec extends SparkSpec {
     val scores: Seq[VoteScore] = Seq(
       Cumulative, Plurality(3), PApproval(2, 3),
       PositionalPApproval(2, Seq(1.0, 0.5, 0.0)), Copeland,
-      RestrictedCumulative(Seq(0L, 1L, 3L).toDF("node"), 0.5))
+      RestrictedCumulative(Set(0L, 1L, 3L), 0.5))
     for (s <- scores) {
       val bys = s.byScenario(targetOps, compOps).collect()
       assert(bys.map(_.getLong(0)).toSeq == Seq(7L, 8L), s.name)
@@ -152,7 +151,7 @@ class ScoresSpec extends SparkSpec {
   /** The six scores, the restricted cumulative one over `nodes`. */
   private def allScores(nodes: Seq[Long]): Seq[VoteScore] = Seq(
     Cumulative, Plurality(3), PApproval(2, 3), PositionalPApproval(2, Seq(1.0, 0.5, 0.0)), Copeland,
-    RestrictedCumulative(nodes.toDF("node"), 0.5))
+    RestrictedCumulative(nodes.toSet, 0.5))
 
   /** Every candidate's `exact` score and every scenario's `byScenario`
     * score agree with the DataFrame reference within 1e-12.

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.{JobCounter, SparkSpec}
 import repro.baselines.RRSets
 import repro.expts.{Datasets, RunningExample}
@@ -29,6 +28,10 @@ class TraversalSpec extends SparkSpec {
 
   private def fingerprint(df: DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
 
+  /** Uniform RS starts `(wid, start)` as a DataFrame. */
+  private def rsStarts(n: Long, theta: Long, seed: Long): DataFrame =
+    GraphOps.uniformNodes(n, theta, seed).toDF("wid", "start")
+
   /** `body` run with `shuffle` shuffle partitions. */
   private def withShufflePartitions[A](shuffle: Int)(body: => A): A = {
     val key = "spark.sql.shuffle.partitions"
@@ -43,12 +46,14 @@ class TraversalSpec extends SparkSpec {
   private def samples(parts: Int, shuffle: Int): Seq[Seq[String]] = withShufflePartitions(shuffle) {
     val d = Methods.targetStubbornness(rnd)
     val rw = WalkGen.uniformStarts(spark, rnd.n, 3).repartition(parts)
-    val rs = WalkGen.sketchStarts(spark, rnd.n, 200, 3).repartition(parts)
-    val roots = RRSets.sampleRoots(spark, rnd.n, 200, 4).repartition(parts)
+    val rs = rsStarts(rnd.n, 200, 3).repartition(parts)
+    val roots = GraphOps.uniformNodes(rnd.n, 200, 4)
     val edges = rnd.edges.repartition(parts)
-    Seq(WalkGen.generate(spark, edges, d, rw, 4, 5), WalkGen.generate(spark, edges, d, rs, 4, 6), rs, roots,
-      RRSets.sampleIC(spark, edges, roots, 3, 7), RRSets.sampleLT(spark, edges, roots, 3, 8),
-      GraphOps.reachWithin(spark, edges, rnd.n, 3)).map(fingerprint)
+    val csr = GraphOps.inCsr(edges)
+    Seq(WalkGen.generate(spark, edges, d, rw, 4, 5), WalkGen.generate(spark, edges, d, rs, 4, 6), rs,
+      GraphOps.reachWithin(spark, edges, rnd.n, 3)).map(fingerprint) ++
+      Seq(roots, RRSets.sample(csr, "ic", roots, 3, 7).pairs, RRSets.sample(csr, "lt", roots, 3, 8).pairs)
+        .map(_.map(_.toString))
   }
 
   test("walks, RR sets and reach do not depend on partitioning") {
@@ -66,7 +71,7 @@ class TraversalSpec extends SparkSpec {
         WalkGen.generate(spark, edges, d, starts.repartition(parts), rnd.t, seed), rnd, obsIsWalk), scale)
     Seq(run(Cumulative, WalkGen.uniformStarts(spark, rnd.n, 20), false, 1.0, 11),
       run(Plurality(2), WalkGen.uniformStarts(spark, rnd.n, 20), false, 1.0, 12),
-      run(Copeland, WalkGen.sketchStarts(spark, rnd.n, 600, 13), true, rnd.n / 600.0, 14))
+      run(Copeland, rsStarts(rnd.n, 600, 13), true, rnd.n / 600.0, 14))
   }
 
   test("RW and RS seeds and estimate trajectories do not depend on partitioning") {
@@ -79,30 +84,27 @@ class TraversalSpec extends SparkSpec {
       WalkGreedy.select(rnd, score, 3, WalkGen.annotate(
         WalkGen.generate(spark, rnd.edges, d, starts, rnd.t, seed), rnd, obsIsWalk), scale)
     assert(Methods.rs(rnd, Copeland, 3, seed = 21, thetaOverride = Some(400L)) ==
-      walkGreedy(Copeland, WalkGen.sketchStarts(spark, rnd.n, 400, 21), true, rnd.n / 400.0, 22))
+      walkGreedy(Copeland, rsStarts(rnd.n, 400, 21), true, rnd.n / 400.0, 22))
     assert(Methods.rw(rnd, Cumulative, 3, seed = 23, lambdaOverride = Some(6)) ==
       walkGreedy(Cumulative, WalkGen.uniformStarts(spark, rnd.n, 6), false, 1.0, 23))
     assert(Methods.rw(rnd, Plurality(2), 3, seed = 24, lambdaCap = 8) == walkGreedy(Plurality(2),
-      WalkGen.startsPerNode(spark, Bounds.lambdaPerNode(rnd, 0.9, lambdaCap = 8)), false, 1.0, 24))
-    val roots = RRSets.sampleRoots(spark, rnd.n, 300, 25)
-    assert(RRSets.select(rnd, "ic", 3, 300L, seed = 25) ==
-      RRSets.greedyCover(RRSets.sampleIC(spark, rnd.edges, roots, rnd.t, 26), 3, rnd.n))
-    assert(RRSets.select(rnd, "lt", 3, 300L, seed = 25) ==
-      RRSets.greedyCover(RRSets.sampleLT(spark, rnd.edges, roots, rnd.t, 26), 3, rnd.n))
+      Bounds.lambdaPerNode(rnd, 0.9, lambdaCap = 8).flatMap((WalkGen.nodeStarts _).tupled).toDF("wid", "start"),
+      false, 1.0, 24))
+    val roots = GraphOps.uniformNodes(rnd.n, 300, 25)
+    for (model <- Seq("ic", "lt"))
+      assert(RRSets.select(rnd, model, 3, 300L, seed = 25) == GraphOps.maxCoverage(
+        RRSets.sample(GraphOps.inCsr(rnd.edges), model, roots, rnd.t, 26).pairs, 3, rnd.n).map(_._1), model)
   }
 
   test("a uniform start or root depends on its id only") {
-    def prefix(df: DataFrame) = fingerprint(df.filter(col(df.columns.head) < 100))
-    assert(prefix(WalkGen.sketchStarts(spark, 30, 100, 3)) == prefix(WalkGen.sketchStarts(spark, 30, 900, 3)))
-    assert(prefix(RRSets.sampleRoots(spark, 30, 100, 4)) == prefix(RRSets.sampleRoots(spark, 30, 900, 4)))
+    for (seed <- Seq(3L, 4L))
+      assert(GraphOps.uniformNodes(30, 100, seed) == GraphOps.uniformNodes(30, 900, seed).take(100), seed)
   }
 
-  test("sketchStarts and sampleRoots match the replaced RDD views") {
-    for ((view, names, seed) <- Seq((WalkGen.sketchStarts(spark, 30, 500, 3), Seq("wid", "start"), 3L),
-                                    (RRSets.sampleRoots(spark, 30, 500, 4), Seq("rr", "node"), 4L))) {
-      val ref = spark.createDataFrame(SparkTraversal.uniformNodes(spark.sparkContext, 30, 500, seed)).toDF(names: _*)
-      assert(view.schema == ref.schema && view.collect().toSeq == ref.collect().toSeq, names)
-    }
+  test("uniformNodes matches the replaced RDD view") {
+    for (seed <- Seq(3L, 4L))
+      assert(GraphOps.uniformNodes(30, 500, seed) ==
+        SparkTraversal.uniformNodes(spark.sparkContext, 30, 500, seed).collect().toSeq, seed)
   }
 
   test("IC and LT RR-set inclusion frequencies match exact enumeration") {
@@ -138,10 +140,10 @@ class TraversalSpec extends SparkSpec {
       }
     walk(Vector(root), 1.0)
 
-    val roots = (0 until theta).map(i => (i.toLong, root.toLong)).toDF("rr", "node")
-    for ((name, rr, exact) <- Seq(("IC", RRSets.sampleIC(spark, edges, roots, depth, 9), ic),
-                                  ("LT", RRSets.sampleLT(spark, edges, roots, depth, 10), lt))) {
-      val counts = rr.groupBy("node").count().collect().map(r => r.getLong(0).toInt -> r.getLong(1)).toMap
+    val (csr, roots) = (GraphOps.inCsr(edges), (0 until theta).map(i => (i.toLong, root.toLong)))
+    for ((name, rr, exact) <- Seq(("IC", RRSets.sample(csr, "ic", roots, depth, 9), ic),
+                                  ("LT", RRSets.sample(csr, "lt", roots, depth, 10), lt))) {
+      val counts = rr.nodes.groupMapReduce(identity)(_ => 1L)(_ + _)
       for (v <- 0 until 5) {
         val (freq, p) = (counts.getOrElse(v, 0L).toDouble / theta, exact(v))
         val tol = 4 * math.sqrt(p * (1 - p) / theta) + 1e-9
@@ -166,32 +168,31 @@ class TraversalSpec extends SparkSpec {
 
   test("walks, RR sets and reach views run only their collects") {
     val starts = WalkGen.uniformStarts(spark, rnd.n, 2).localCheckpoint(true)
-    val roots = RRSets.sampleRoots(spark, rnd.n, 100, 1).localCheckpoint(true)
     for (t <- Seq(1, 8)) {
       val jobs = Seq(
         JobCounter(spark)(WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd), starts, t, 1))._2,
-        JobCounter(spark)(GraphOps.reachWithin(spark, rnd.edges, rnd.n, t))._2,
-        JobCounter(spark)(RRSets.sampleIC(spark, rnd.edges, roots, t, 2))._2,
-        JobCounter(spark)(RRSets.sampleLT(spark, rnd.edges, roots, t, 3))._2)
-      // One job per checkpointed input collected: the edges, and the starts or roots.
-      assert(jobs == Seq(2, 1, 2, 2), s"t=$t: jobs of generate, reachWithin, sampleIC, sampleLT = $jobs")
+        JobCounter(spark)(GraphOps.reachWithin(spark, rnd.edges, rnd.n, t))._2)
+      // One job per checkpointed input collected: the edges, and the starts.
+      assert(jobs == Seq(2, 1), s"t=$t: jobs of generate, reachWithin = $jobs")
     }
   }
 
   test("RS, RW, RR-set selection and coverageGreedy run no Spark job") {
     rnd.targetScore(Plurality(2), Nil) // collects the profile and the CSR, diffuses the horizon
-    val fixed = Sandwich.favorableUsers(rnd, 1)
+    val fixed = Sandwich.favorable(rnd, 1, Nil).toSet
     val sc = spark.sparkContext
     sc.setJobDescription("caller's description")
     val (jobs, described) = try (Seq(
       JobCounter(spark)(Methods.rs(rnd, Plurality(2), 2, seed = 3, thetaOverride = Some(300L)))._2,
       JobCounter(spark)(Methods.rw(rnd, Plurality(2), 2, seed = 4, lambdaOverride = Some(5)))._2,
+      JobCounter(spark)(Methods.rw(rnd, Plurality(2), 2, seed = 4, lambdaCap = 50))._2,
       JobCounter(spark)(RRSets.select(rnd, "ic", 2, 300L, seed = 5))._2,
       JobCounter(spark)(RRSets.select(rnd, "lt", 2, 300L, seed = 6))._2,
-      JobCounter(spark)(Sandwich.coverageGreedy(rnd, fixed, 2, 1.0))._2),
+      JobCounter(spark)(Sandwich.coverageGreedy(rnd, fixed, 2, 1.0))._2,
+      JobCounter(spark)(Sandwich.favorable(rnd, 1, Seq(3L)))._2),
       sc.getLocalProperty("spark.job.description"))
     finally sc.setJobDescription(null)
-    assert(jobs.forall(_ == 0), s"jobs of rs, rw, select ic, select lt, coverageGreedy = $jobs")
+    assert(jobs.forall(_ == 0), s"jobs of rs, rw, ranked rw, select ic, select lt, coverageGreedy, favorable = $jobs")
     assert(described == "caller's description")
   }
 

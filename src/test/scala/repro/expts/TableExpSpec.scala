@@ -1,6 +1,6 @@
 package repro.expts
 
-import repro.SparkSpec
+import repro.{JobCounter, SparkSpec}
 
 /** Smoke tests for the table experiment modules shared by benches and
   * spark-submit jobs (the heavyweight parameterizations run in bench/).
@@ -24,7 +24,9 @@ class TableExpSpec extends SparkSpec {
   }
 
   test("Table4Exp scales down and keeps the case-study invariants") {
-    val out = Table4Exp.run(spark, n = 300, m = 3000, k = 6, t = 4, lambda = 8, seed = 881)
+    val (out, jobs) = JobCounter(spark)(Table4Exp.run(spark, n = 300, m = 3000, k = 6, t = 4, lambda = 8, seed = 881))
+    // Building the instance and collecting its inputs: the votes and reach are counted on the driver.
+    assert(jobs == 15, s"$jobs jobs")
     assert(out.rows.size == 7)
     assert(out.afterTotal >= out.beforeTotal)
     out.rows.foreach(r => assert(r.afterVotes >= r.beforeVotes))

@@ -1,6 +1,5 @@
 package repro.walks
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.Cumulative
 import repro.expts.RunningExample
@@ -30,8 +29,7 @@ class BoundsSpec extends SparkSpec {
   }
 
   test("lambdaPerNode floors gamma and caps lambda") {
-    val lam = Bounds.lambdaPerNode(inst, rho = 0.9, gammaFloor = 0.05, lambdaCap = 500)
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val lam = Bounds.lambdaPerNode(inst, rho = 0.9, gammaFloor = 0.05, lambdaCap = 500).toMap
     assert(lam.size == 4)
     assert(lam.values.forall(l => l >= 1 && l <= 500))
     // Node 0 gap |0.40-0.35| = 0.05 (the floor) -> lambda = ln(20)/(2*0.0025) = 600 -> cap 500.
@@ -64,8 +62,8 @@ class BoundsSpec extends SparkSpec {
   }
 
   test("lambdaPerNode matches a direct gamma computation via DuckDB") {
-    val got = Bounds.lambdaPerNode(inst, rho = 0.9, gammaFloor = 0.01, lambdaCap = 100000)
-      .select(col("node").cast("long").as("node"), col("lam").cast("long").as("lam"))
+    val got = spark.createDataFrame(Bounds.lambdaPerNode(inst, rho = 0.9, gammaFloor = 0.01, lambdaCap = 100000))
+      .toDF("node", "lam")
     val ops = inst.opinions(Nil)
     val c = math.log(2.0 / 0.1) / 2.0
     repro.Oracle.assertEquivalent(

@@ -38,7 +38,7 @@ class WalkEstimateSpec extends SparkSpec {
   }
 
   test("Thm 9: post-generation truncation is unbiased for a singleton seed") {
-    val state = WalkGreedy.applyCover(annotated(4000, seed = 6), Seq(2L))
+    val state = BoxedWalkGreedy.applyCover(annotated(4000, seed = 6), Seq(2L))
     val est = estimates(state)
     val exact = exactOpinions(Seq(2L))
     (0L until 4L).foreach { v =>
@@ -47,7 +47,7 @@ class WalkEstimateSpec extends SparkSpec {
   }
 
   test("Thm 9: truncation is unbiased for a two-node seed set") {
-    val state = WalkGreedy.applyCover(annotated(4000, seed = 7), Seq(0L, 3L))
+    val state = BoxedWalkGreedy.applyCover(annotated(4000, seed = 7), Seq(0L, 3L))
     val est = estimates(state)
     val exact = exactOpinions(Seq(0L, 3L))
     (0L until 4L).foreach { v =>
@@ -56,49 +56,49 @@ class WalkEstimateSpec extends SparkSpec {
   }
 
   test("a seeded start node estimates exactly 1") {
-    val state = WalkGreedy.applyCover(annotated(50, seed = 8), Seq(3L))
+    val state = BoxedWalkGreedy.applyCover(annotated(50, seed = 8), Seq(3L))
     assert(estimates(state)(3L) == 1.0)
   }
 
   test("estimated cumulative score via walks matches the exact score") {
-    val state = WalkGreedy.applyCover(annotated(4000, seed = 9), Seq(2L))
-    val est = WalkGreedy.scoreEstimate(state, Cumulative, null, scale = 1.0)
+    val state = BoxedWalkGreedy.applyCover(annotated(4000, seed = 9), Seq(2L))
+    val est = BoxedWalkGreedy.scoreEstimate(state, Cumulative, null, scale = 1.0)
     val exact = inst.targetScore(Cumulative, Seq(2L))
     assert(math.abs(est - exact) < 0.05, s"$est vs $exact")
   }
 
   test("estimated plurality score via walks matches the exact score") {
     val comp = inst.competitorOpinions().localCheckpoint(true)
-    val state = WalkGreedy.applyCover(annotated(4000, seed = 10), Seq(2L))
-    val est = WalkGreedy.scoreEstimate(state, Plurality(2), comp, scale = 1.0)
+    val state = BoxedWalkGreedy.applyCover(annotated(4000, seed = 10), Seq(2L))
+    val est = BoxedWalkGreedy.scoreEstimate(state, Plurality(2), comp, scale = 1.0)
     val exact = inst.targetScore(Plurality(2), Seq(2L))
     assert(math.abs(est - exact) < 0.5, s"$est vs $exact")
   }
 
   test("estimated Copeland score via walks matches the exact score") {
     val comp = inst.competitorOpinions().localCheckpoint(true)
-    val state = WalkGreedy.applyCover(annotated(4000, seed = 11), Seq(2L))
-    val est = WalkGreedy.scoreEstimate(state, Copeland, comp, scale = 1.0)
+    val state = BoxedWalkGreedy.applyCover(annotated(4000, seed = 11), Seq(2L))
+    val est = BoxedWalkGreedy.scoreEstimate(state, Copeland, comp, scale = 1.0)
     assert(est == inst.targetScore(Copeland, Seq(2L)))
   }
 
   test("Eq 35: the sketch estimator of the cumulative score is unbiased") {
     val theta = 20000L
-    val starts = WalkGen.sketchStarts(spark, inst.n, theta, seed = 12)
+    val starts = spark.createDataFrame(GraphOps.uniformNodes(inst.n, theta, seed = 12)).toDF("wid", "start")
     val walks = WalkGen.generate(spark, inst.edges, Methods.targetStubbornness(inst),
       starts, inst.t, seed = 13)
     val state = WalkGen.annotate(walks, inst, obsIsWalk = true)
-    val est = WalkGreedy.scoreEstimate(state, Cumulative, null, scale = inst.n.toDouble / theta)
+    val est = BoxedWalkGreedy.scoreEstimate(state, Cumulative, null, scale = inst.n.toDouble / theta)
     val exact = inst.targetScore(Cumulative, Nil)
     assert(math.abs(est - exact) < 0.1, s"$est vs $exact")
   }
 
   test("applyCover is idempotent and monotone") {
     val st0 = annotated(100, seed = 14)
-    val st1 = WalkGreedy.applyCover(st0, Seq(2L))
-    val st2 = WalkGreedy.applyCover(st1, Seq(2L))
+    val st1 = BoxedWalkGreedy.applyCover(st0, Seq(2L))
+    val st2 = BoxedWalkGreedy.applyCover(st1, Seq(2L))
     assert(st1.filter(col("covered")).count() == st2.filter(col("covered")).count())
-    val st3 = WalkGreedy.applyCover(st1, Seq(3L))
+    val st3 = BoxedWalkGreedy.applyCover(st1, Seq(3L))
     assert(st3.filter(col("covered")).count() >= st1.filter(col("covered")).count())
   }
 }

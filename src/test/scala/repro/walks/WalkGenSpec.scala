@@ -93,14 +93,6 @@ class WalkGenSpec extends SparkSpec {
     }
   }
 
-  test("sketchStarts samples theta uniform starts within range") {
-    val s = WalkGen.sketchStarts(spark, rnd.n, 500, 3)
-    assert(s.count() == 500)
-    assert(s.filter(col("start") < 0 || col("start") >= rnd.n).count() == 0)
-    // With replacement: expect collisions for 500 draws over 30 nodes.
-    assert(s.select("start").distinct().count() < 500)
-  }
-
   test("annotate attaches the target's initial opinion of the end node") {
     val w = gen(inst, 3)
     val ann = WalkGen.annotate(w, inst, obsIsWalk = false)

@@ -64,7 +64,7 @@ class WalkGreedySpec extends SparkSpec {
     val walks = WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd), starts, rnd.t, 32)
     val state = WalkGen.annotate(walks, rnd, obsIsWalk)
     val r = WalkGreedy.select(rnd, score, 3, state, scale)
-    val est = WalkGreedy.scoreEstimate(WalkGreedy.applyCover(state, r.seeds), score,
+    val est = BoxedWalkGreedy.scoreEstimate(BoxedWalkGreedy.applyCover(state, r.seeds), score,
       rnd.competitorOpinions(), scale)
     assert(math.abs(r.estScores.last - est) < 1e-9, s"${score.name}: ${r.estScores.last} vs $est")
   }
@@ -81,7 +81,8 @@ class WalkGreedySpec extends SparkSpec {
   test("RS Copeland estimate trajectory ends at the estimator's value") {
     val theta = 1000L
     for (score <- Seq(Copeland, PositionalPApproval(2, Seq(1.0, 0.5, 0.0))))
-      assertTrajectoryEndsAtEstimate(score, WalkGen.sketchStarts(spark, rnd.n, theta, 33),
+      assertTrajectoryEndsAtEstimate(score, spark.createDataFrame(GraphOps.uniformNodes(rnd.n, theta, 33))
+        .toDF("wid", "start"),
         true, rnd.n.toDouble / theta)
   }
 
@@ -107,13 +108,12 @@ class WalkGreedySpec extends SparkSpec {
 
   test("RW estimates a restricted cumulative score node by node") {
     import org.apache.spark.sql.functions._
-    val state = WalkGreedy.applyCover(WalkGen.annotate(
+    val state = BoxedWalkGreedy.applyCover(WalkGen.annotate(
       WalkGen.generate(spark, rnd.edges, Methods.targetStubbornness(rnd),
         WalkGen.uniformStarts(spark, rnd.n, 20), rnd.t, 34),
       rnd, obsIsWalk = false), Seq(4L))
     val nodes = Seq(1L, 4L, 7L, 12L)
-    val est = WalkGreedy.scoreEstimate(state,
-      RestrictedCumulative(spark.createDataFrame(nodes.map(Tuple1(_))).toDF("node"), 0.75), null, 1.0)
+    val est = BoxedWalkGreedy.scoreEstimate(state, RestrictedCumulative(nodes.toSet, 0.75), null, 1.0)
     val perNode = state.filter(col("start").isin(nodes: _*)).groupBy("start")
       .agg(avg(when(col("covered"), 1.0).otherwise(col("b0end")))).collect().map(_.getDouble(1))
     assert(perNode.length == nodes.length)
