@@ -47,7 +47,7 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
 
   /** The target's opinions at the horizon with `seeds`, one per node. */
   private[repro] def targetOpinions(seeds: Seq[Long]): Array[Double] =
-    if (seeds.isEmpty) Array.tabulate(dense.n)(v => horizon(v * dense.k + q))
+    if (seeds.isEmpty) column(horizon, dense.k, q)
     else targetColumns(Seq(seeds))(identity).head
 
   /** `of` the target's opinions at the horizon with each of `seedSets`, one
@@ -56,17 +56,22 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
     */
   private def targetColumns[A](seedSets: Seq[Seq[Long]])(of: Array[Double] => A): Seq[A] = {
     val k = seedSets.length
-    def spread(base: Array[Double]) = Array.tabulate(dense.n * k)(i => base(i / k * dense.k + q))
-    val (b0, d) = (spread(dense.b0), spread(dense.d))
+    val (b0, d) = (column(dense.b0, dense.k, q, k), column(dense.d, dense.k, q, k))
     for ((seeds, j) <- seedSets.zipWithIndex) pin(seeds) { s => b0(s * k + j) = 1.0; d(s * k + j) = 1.0 }
     val b = OpinionDiffusion.advance(csr, b0, d, k, t)
-    (0 until k).map(j => of(Array.tabulate(dense.n)(v => b(v * k + j))))
+    (0 until k).map(j => of(column(b, k, j)))
+  }
+
+  /** Column `c` of the node-major `ops` of `k` columns, `copies` times: entry `v * copies + j` is `ops(v * k + c)`. */
+  private def column(ops: Array[Double], k: Int, c: Int, copies: Int = 1): Array[Double] = {
+    val out = new Array[Double](ops.length / k * copies)
+    for (i <- out.indices) out(i) = ops(i / copies * k + c)
+    out
   }
 
   /** The target's `b0` and `d`, one per node, with `seeds` pinned to 1. */
   private[repro] def targetDense(seeds: Seq[Long]): (Array[Double], Array[Double]) = {
-    val b0 = Array.tabulate(dense.n)(v => dense.b0(v * dense.k + q))
-    val d = Array.tabulate(dense.n)(v => dense.d(v * dense.k + q))
+    val (b0, d) = (column(dense.b0, dense.k, q), column(dense.d, dense.k, q))
     pin(seeds) { s => b0(s) = 1.0; d(s) = 1.0 }
     (b0, d)
   }
@@ -88,11 +93,9 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
     ops
   }
 
-  /** `score` of the target opinions `b` (one per node) against the
-    * competitors' horizon opinions.
-    */
+  /** `score` of the target opinions `b` (one per node) against the competitors' horizon opinions. */
   private[repro] def targetScoreOf(score: VoteScore, b: Array[Double]): Double =
-    score.total(Array.tabulate(b.length)(_.toLong), b, competitors)
+    score.total(b.length, r)(_.toLong, b(_), competitors(_))
 
   /** Exact horizon-`t` opinions `(node, cand, b)` of every candidate with
     * `seeds` for `q`, as a local DataFrame.

@@ -59,7 +59,11 @@ object OpinionDiffusion {
     val scen = scenarios.select(col("scen").cast("long")).collect().map(_.getLong(0))
     val k = scen.length
     // Scenario j pins its own node: b0 = d = 1 there.
-    def pinned(base: Array[Double]) = Array.tabulate(p.n * k)(i => if (scen(i % k) == i / k) 1.0 else base(i / k))
+    def pinned(base: Array[Double]) = {
+      val out = new Array[Double](p.n * k)
+      for (i <- out.indices) out(i) = if (scen(i % k) == i / k) 1.0 else base(i / k)
+      out
+    }
     val b = advance(GraphOps.inCsr(edges), pinned(p.b0), pinned(p.d), k, t)
     import edges.sparkSession.implicits._
     (for (v <- 0 until p.n; j <- scen.indices) yield (scen(j), v.toLong, b(v * k + j))).toDF("scen", "node", "b")

@@ -32,7 +32,7 @@ object Sandwich {
   private[repro] def favorable(inst: Instance, p: Int, seeds: Seq[Long]): Seq[Long] = {
     val approval = PApproval(p, inst.r)
     val b = inst.targetOpinions(seeds)
-    b.indices.filter(v => approval.voterTerms(v, b(v), inst.competitors(v)).exists(_._2 > 0)).map(_.toLong)
+    b.indices.filter(v => approval.total(1, inst.r)(_ => v, _ => b(v), _ => inst.competitors(v)) > 0).map(_.toLong)
   }
 
   /** Greedy maximization of `factor * |N_S ∪ fixed|` — a max coverage

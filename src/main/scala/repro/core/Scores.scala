@@ -2,64 +2,55 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import scala.collection.mutable
 
 /** The five voting-based scores of §II-B.
   *
-  * Every score is computed from horizon-`t` opinions, as a sum of per-voter
-  * [[VoteScore.voterTerms]] into part totals followed by one
-  * [[VoteScore.finish]]. A voter is one user, with an opinion of the target
-  * and opinions of the competitors. Exact scores are summed on the driver,
-  * voters in ascending node order, over the opinions the FJ kernels
-  * collect: `exact` scores one candidate of an opinion table, `byScenario`
-  * every scenario of scenario-vectorized target opinions `(scen, node, b)`
-  * against exact competitor opinions `(node, cand, b)` (restricted to
-  * `cand != target` by the caller). The walk estimators of RW and RS
-  * (`repro.walks.WalkGreedy`) apply the same terms to their observations.
+  * Every score is computed from horizon-`t` opinions, as per-voter
+  * [[VoteScore.addTerms]] into a `double` array of part totals followed by
+  * one [[VoteScore.finish]]. A voter is one user, with an opinion of the
+  * target and opinions of the competitors. Exact scores sum their voters on
+  * the driver in ascending node order: `exact` scores one candidate of an
+  * opinion table, `byScenario` every scenario `(scen, node, b)` against the
+  * competitor opinions `(node, cand, b)`. RW and RS (`repro.walks.WalkGreedy`)
+  * add the same terms for their observations.
   */
 sealed trait VoteScore extends Serializable {
   def name: String
 
-  /** Whether a voter's terms depend on how the voter ranks the target, that
-    * is, read the competitors' opinions. The cumulative scores' terms do
-    * not, so their callers never compute those opinions.
+  /** Whether a voter's terms read the competitors' opinions. The cumulative
+    * scores' do not, so their callers never compute those opinions.
     */
   def ranked: Boolean = true
 
-  /** Additive terms `(part, v)` of one voter: user `node`, whose opinion of
-    * the target is `b` and of the competitors `comp`, in ascending
-    * candidate order (empty for a score that is not [[ranked]]). The score
-    * is [[finish]] of the per-`part` sums of `v` over all voters.
-    */
-  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)]
+  /** The number of part totals in an `r`-candidate election. */
+  def parts(r: Int): Int = 1
 
-  /** The score given the per-part sums of [[voterTerms]]. */
-  def finish(partTotals: Iterable[Double]): Double = partTotals.sum
-
-  /** [[finish]] of the part totals of voters `nodes` with target opinions
-    * `b` and competitor opinions `comp`, summed in the given voter order.
-    * `comp` is only evaluated by ranked scores.
+  /** Adds `sgn` times the terms of voter `node` to its part totals `totals(at until at + parts)`: its
+    * opinion of the target is `b`, of the competitors `comp` in candidate order (empty if not [[ranked]]).
     */
-  private[repro] def total(nodes: Array[Long], b: Array[Double], comp: => Array[Array[Double]]): Double = {
-    val c = if (ranked) comp else null
-    val totals = mutable.TreeMap.empty[Int, Double]
-    for (i <- nodes.indices; (part, v) <- voterTerms(nodes(i), b(i), if (c == null) Array.emptyDoubleArray else c(i)))
-      totals(part) = totals.getOrElse(part, 0.0) + v
-    finish(totals.values)
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit
+
+  /** The score given the per-part sums of [[addTerms]]: by default, the sum of the one part. */
+  def finish(partTotals: Array[Double]): Double = partTotals(0)
+
+  /** [[finish]] of the part totals of voters `0 until voters` of an `r`-candidate election, summed in
+    * voter order: voter `i` is user `node(i)`, with opinions `b(i)` and `comp(i)` (read if [[ranked]]).
+    */
+  private[repro] def total(voters: Int, r: Int)(node: Int => Long, b: Int => Double,
+                                                comp: Int => Array[Double]): Double = {
+    val totals = new Array[Double](parts(r))
+    for (i <- 0 until voters) addTerms(totals, 0, node(i), b(i), if (ranked) comp(i) else Array.emptyDoubleArray, 1.0)
+    finish(totals)
   }
 
-  /** Score of candidate `cand` in node-major opinions `ops` (entry
-    * `v * r + c`) of `r` candidates.
-    */
+  /** Score of candidate `cand` in node-major opinions `ops` (entry `v * r + c`) of `r` candidates. */
   private[repro] def ofTable(ops: Array[Double], r: Int, cand: Int): Double = {
-    val n = ops.length / r
-    total(Array.tabulate(n)(_.toLong), Array.tabulate(n)(v => ops(v * r + cand)),
-      Array.tabulate(n)(v => (0 until r).filter(_ != cand).map(x => ops(v * r + x)).toArray))
+    val comp = new Array[Double](r - 1) // node v's competitors, refilled for each v
+    def fill(v: Int) = { for (x <- comp.indices) comp(x) = ops(v * r + x + (if (x >= cand) 1 else 0)); comp }
+    total(ops.length / r, r)(_.toLong, v => ops(v * r + cand), fill)
   }
 
-  /** Score of each scenario, as a local DataFrame `(scen, score)` ascending
-    * by scenario.
-    */
+  /** Score of each scenario, as a local DataFrame `(scen, score)` ascending by scenario. */
   def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame = {
     val spark = targetOps.sparkSession
     import spark.implicits._
@@ -99,8 +90,9 @@ object VoteScore {
   private def ofVoters(score: VoteScore, voters: Array[(Long, Double)], comp: => Map[Long, Array[Double]]): Double = {
     val sorted = voters.sortBy(_._1)
     lazy val byNode = comp
-    score.total(sorted.map(_._1), sorted.map(_._2),
-      sorted.map(v => byNode.getOrElse(v._1, Array.emptyDoubleArray)))
+    val r = if (score.ranked) 1 + byNode.valuesIterator.map(_.length).maxOption.getOrElse(0) else 1 // Copeland parts
+    score.total(sorted.length, r)(sorted(_)._1, sorted(_)._2,
+      i => byNode.getOrElse(sorted(i)._1, Array.emptyDoubleArray))
   }
 
   /** All-ones weights used by plurality / p-approval. */
@@ -113,7 +105,8 @@ case object Cumulative extends VoteScore {
 
   override def ranked: Boolean = false
 
-  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)] = Seq((0, b))
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit =
+    totals(at) += sgn * b
 }
 
 /** Positional-p-approval score (Eq 6); plurality (Eq 4) and p-approval
@@ -133,9 +126,11 @@ final case class PositionalPApproval(p: Int, weights: Seq[Double]) extends VoteS
 
   private val w = weights.toArray
 
-  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)] = {
-    val beta = 1 + comp.count(_ >= b)
-    Seq((0, if (beta <= p && beta <= w.length) w(beta - 1) else 0.0))
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit = {
+    var beta = 1
+    var j = 0
+    while (j < comp.length) { if (comp(j) >= b) beta += 1; j += 1 }
+    totals(at) += sgn * (if (beta <= p && beta <= w.length) w(beta - 1) else 0.0)
   }
 }
 
@@ -159,10 +154,12 @@ final case class RestrictedCumulative(members: Set[Long], factor: Double) extend
 
   override def ranked: Boolean = false
 
-  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)] =
-    if (members(node)) Seq((0, b)) else Nil
+  private val sortedMembers = members.toArray.sorted
 
-  override def finish(partTotals: Iterable[Double]): Double = factor * partTotals.sum
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit =
+    if (java.util.Arrays.binarySearch(sortedMembers, node) >= 0) totals(at) += sgn * b
+
+  override def finish(partTotals: Array[Double]): Double = factor * partTotals(0)
 }
 
 /** Copeland score (Eq 7): number of one-on-one competitions the candidate
@@ -174,8 +171,10 @@ final case class RestrictedCumulative(members: Set[Long], factor: Double) extend
 case object Copeland extends VoteScore {
   val name = "copeland"
 
-  def voterTerms(node: Long, b: Double, comp: Array[Double]): Seq[(Int, Double)] =
-    comp.indices.map(j => (j, if (b > comp(j)) 1.0 else if (b < comp(j)) -1.0 else 0.0))
+  override def parts(r: Int): Int = r - 1
 
-  override def finish(partTotals: Iterable[Double]): Double = partTotals.count(_ > 0).toDouble
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit =
+    for (j <- comp.indices) totals(at + j) += sgn * (if (b > comp(j)) 1.0 else if (b < comp(j)) -1.0 else 0.0)
+
+  override def finish(partTotals: Array[Double]): Double = partTotals.count(_ > 0).toDouble
 }

@@ -78,9 +78,12 @@ object WalkGen {
     * node (λ_v walks averaged).
     */
   private[walks] def annotation(walks: GraphOps.Packed, b0: Array[Double],
-                                obsIsWalk: Boolean): (Array[Long], Array[Double]) =
-    (Array.tabulate(walks.size)(i => if (obsIsWalk) walks.roots(i) else walks.nodes(walks.off(i)).toLong),
-      Array.tabulate(walks.size)(i => b0(walks.nodes(walks.off(i + 1) - 1))))
+                                obsIsWalk: Boolean): (Array[Long], Array[Double]) = {
+    val (obs, b0end) = (new Array[Long](walks.size), new Array[Double](walks.size))
+    java.util.Arrays.setAll(obs, (i: Int) => if (obsIsWalk) walks.roots(i) else walks.nodes(walks.off(i)).toLong)
+    java.util.Arrays.setAll(b0end, (i: Int) => b0(walks.nodes(walks.off(i + 1) - 1)))
+    (obs, b0end)
+  }
 
   /** The walks of rows `(wid, path, …)`, in row order. */
   private[walks] def packed(rows: Array[Row]): GraphOps.Packed =

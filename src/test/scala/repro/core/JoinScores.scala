@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-/** The DataFrame score algebra that [[VoteScore.voterTerms]] replaced, kept
+/** The DataFrame score algebra that per-voter score terms replaced, kept
   * as a test reference: each score's additive per-voter terms
   * `(voter…, part, v)` as DataFrame operations (the ranked scores join each
   * voter's target opinion to every competitor's and group per voter), then
@@ -40,7 +40,7 @@ object JoinScores {
     terms(score, targetOps, compOps, Seq("scen", "node"))
       .groupBy("scen", "part").agg(sum("v")).collect()
       .groupBy(_.getLong(0)).toSeq.sortBy(_._1)
-      .map { case (scen, rows) => (scen, score.finish(rows.map(_.getDouble(2)))) }
+      .map { case (scen, rows) => (scen, BoxedScores.finish(score, rows.map(_.getDouble(2)))) }
 
   /** Score of candidate `cand` in the opinions `(node, cand, b)`: the
     * candidate's own opinions are scored as one scenario.

@@ -29,7 +29,7 @@ import scala.collection.immutable.TreeMap
   * over an index from each node to the walks whose path holds it.
   * Ranking-based scores additionally use the competitors' exact horizon
   * opinions, computed once by direct matrix-vector multiplication (§V-B):
-  * each observation is one voter of the score's [[VoteScore.voterTerms]].
+  * each observation is one voter of the score's [[BoxedScores.voterTerms]].
   */
 object BoxedWalkGreedy {
 
@@ -69,7 +69,7 @@ object BoxedWalkGreedy {
     /** The score's terms of observation `o` at estimate `b`. */
     def terms(o: Int, b: Double): Seq[(Int, Double)] = {
       val node = walks(walksOf(o).head).start
-      score.voterTerms(node, b, if (score.ranked) comp(node) else Array.emptyDoubleArray)
+      BoxedScores.voterTerms(score, node, b, if (score.ranked) comp(node) else Array.emptyDoubleArray)
     }
   }
 
@@ -83,7 +83,7 @@ object BoxedWalkGreedy {
 
   /** The score's finish on the part totals scaled by `scale`. */
   private def finishScaled(score: VoteScore, totals: TreeMap[Int, Double], scale: Double): Double =
-    score.finish(totals.values.map(_ * scale))
+    BoxedScores.finish(score, totals.values.map(_ * scale))
 
   /** Estimated target score of the current cover state: the score's finish
     * on its part totals over the observations, scaled by `scale`.
