@@ -93,7 +93,9 @@ final case class Instance(edges: DataFrame, profile: DataFrame,
     ops
   }
 
-  /** `score` of the target opinions `b` (one per node) against the competitors' horizon opinions. */
+  /** `score` of the target opinions `b` (one per node) against the
+    * competitors' horizon opinions.
+    */
   private[repro] def targetScoreOf(score: VoteScore, b: Array[Double]): Double =
     score.total(b.length, r)(_.toLong, b(_), competitors(_))
 

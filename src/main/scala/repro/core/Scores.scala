@@ -5,30 +5,34 @@ import org.apache.spark.sql.functions._
 
 /** The five voting-based scores of §II-B.
   *
-  * Every score is computed from horizon-`t` opinions, as per-voter
+  * Every score is computed from horizon-`t` opinions, as a sum of per-voter
   * [[VoteScore.addTerms]] into a `double` array of part totals followed by
-  * one [[VoteScore.finish]]. A voter is one user, with an opinion of the
-  * target and opinions of the competitors. Exact scores sum their voters on
-  * the driver in ascending node order: `exact` scores one candidate of an
-  * opinion table, `byScenario` every scenario `(scen, node, b)` against the
-  * competitor opinions `(node, cand, b)`. RW and RS (`repro.walks.WalkGreedy`)
-  * add the same terms for their observations.
+  * one [[VoteScore.finish]]. A voter is one user, with an opinion of the target
+  * and opinions of the competitors. Exact scores are summed on the driver,
+  * voters in ascending node order, over the opinions the FJ kernels
+  * collect: `exact` scores one candidate of an opinion table, `byScenario`
+  * every scenario of scenario-vectorized target opinions `(scen, node, b)`
+  * against exact competitor opinions `(node, cand, b)` (restricted to
+  * `cand != target` by the caller). The walk estimators of RW and RS
+  * (`repro.walks.WalkGreedy`) add the same terms for their observations.
   */
 sealed trait VoteScore extends Serializable {
   def name: String
 
-  /** Whether a voter's terms read the competitors' opinions. The cumulative
-    * scores' do not, so their callers never compute those opinions.
+  /** Whether a voter's terms depend on how the voter ranks the target, that
+    * is, read the competitors' opinions. The cumulative scores' terms do
+    * not, so their callers never compute those opinions.
     */
   def ranked: Boolean = true
 
   /** The number of part totals in an `r`-candidate election. */
   def parts(r: Int): Int = 1
 
-  /** Adds `sgn` times the terms of voter `node` to its part totals `totals(at until at + parts)`: its
-    * opinion of the target is `b`, of the competitors `comp` in candidate order (empty if not [[ranked]]).
+  /** Adds the terms of one voter to its part totals `totals(at until at + parts)`: user `node`, whose
+    * opinion of the target is `b` and of the competitors `comp`, in ascending candidate order (empty for
+    * a score that is not [[ranked]]). The score is [[finish]] of the per-part sums over all voters.
     */
-  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double]): Unit
 
   /** The score given the per-part sums of [[addTerms]]: by default, the sum of the one part. */
   def finish(partTotals: Array[Double]): Double = partTotals(0)
@@ -39,18 +43,22 @@ sealed trait VoteScore extends Serializable {
   private[repro] def total(voters: Int, r: Int)(node: Int => Long, b: Int => Double,
                                                 comp: Int => Array[Double]): Double = {
     val totals = new Array[Double](parts(r))
-    for (i <- 0 until voters) addTerms(totals, 0, node(i), b(i), if (ranked) comp(i) else Array.emptyDoubleArray, 1.0)
+    for (i <- 0 until voters) addTerms(totals, 0, node(i), b(i), if (ranked) comp(i) else Array.emptyDoubleArray)
     finish(totals)
   }
 
-  /** Score of candidate `cand` in node-major opinions `ops` (entry `v * r + c`) of `r` candidates. */
+  /** Score of candidate `cand` in node-major opinions `ops` (entry
+    * `v * r + c`) of `r` candidates.
+    */
   private[repro] def ofTable(ops: Array[Double], r: Int, cand: Int): Double = {
     val comp = new Array[Double](r - 1) // node v's competitors, refilled for each v
     def fill(v: Int) = { for (x <- comp.indices) comp(x) = ops(v * r + x + (if (x >= cand) 1 else 0)); comp }
     total(ops.length / r, r)(_.toLong, v => ops(v * r + cand), fill)
   }
 
-  /** Score of each scenario, as a local DataFrame `(scen, score)` ascending by scenario. */
+  /** Score of each scenario, as a local DataFrame `(scen, score)` ascending
+    * by scenario.
+    */
   def byScenario(targetOps: DataFrame, compOps: DataFrame): DataFrame = {
     val spark = targetOps.sparkSession
     import spark.implicits._
@@ -105,8 +113,8 @@ case object Cumulative extends VoteScore {
 
   override def ranked: Boolean = false
 
-  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit =
-    totals(at) += sgn * b
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double]): Unit =
+    totals(at) += b
 }
 
 /** Positional-p-approval score (Eq 6); plurality (Eq 4) and p-approval
@@ -126,11 +134,11 @@ final case class PositionalPApproval(p: Int, weights: Seq[Double]) extends VoteS
 
   private val w = weights.toArray
 
-  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit = {
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double]): Unit = {
     var beta = 1
     var j = 0
     while (j < comp.length) { if (comp(j) >= b) beta += 1; j += 1 }
-    totals(at) += sgn * (if (beta <= p && beta <= w.length) w(beta - 1) else 0.0)
+    totals(at) += (if (beta <= p && beta <= w.length) w(beta - 1) else 0.0)
   }
 }
 
@@ -156,8 +164,8 @@ final case class RestrictedCumulative(members: Set[Long], factor: Double) extend
 
   private val sortedMembers = members.toArray.sorted
 
-  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit =
-    if (java.util.Arrays.binarySearch(sortedMembers, node) >= 0) totals(at) += sgn * b
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double]): Unit =
+    if (java.util.Arrays.binarySearch(sortedMembers, node) >= 0) totals(at) += b
 
   override def finish(partTotals: Array[Double]): Double = factor * partTotals(0)
 }
@@ -173,8 +181,8 @@ case object Copeland extends VoteScore {
 
   override def parts(r: Int): Int = r - 1
 
-  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double], sgn: Double): Unit =
-    for (j <- comp.indices) totals(at + j) += sgn * (if (b > comp(j)) 1.0 else if (b < comp(j)) -1.0 else 0.0)
+  def addTerms(totals: Array[Double], at: Int, node: Long, b: Double, comp: Array[Double]): Unit =
+    for (j <- comp.indices) totals(at + j) += (if (b > comp(j)) 1.0 else if (b < comp(j)) -1.0 else 0.0)
 
   override def finish(partTotals: Array[Double]): Double = partTotals.count(_ > 0).toDouble
 }

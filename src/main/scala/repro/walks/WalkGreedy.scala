@@ -19,36 +19,46 @@ import repro.core._
   * walk whose path contains `w` would jump from `b0(end)` to 1.
   *
   * The walks reach the driver once, as packed node lists
-  * ([[GraphOps.Packed]]), and every round runs there over primitive arrays.
-  * Each observation is one voter of the score ([[VoteScore.addTerms]]);
-  * ranked scores read the competitors' exact horizon opinions (§V-B).
+  * ([[GraphOps.Packed]]), and every round runs there over primitive arrays:
+  * the walks in `wid` order, each observation's walks, an index from each
+  * node to the walks whose path holds it, and the score's part totals
+  * indexed by part. Ranking-based scores additionally use the competitors'
+  * exact horizon opinions, computed once by direct matrix-vector
+  * multiplication (§V-B): each observation is one voter of the score's
+  * [[VoteScore.addTerms]].
   */
 object WalkGreedy {
 
   /** Ordered seeds and the estimated target score after each pick. */
   final case class Result(seeds: Seq[Long], estScores: Seq[Double])
 
-  /** Indexes of `keys` in ascending key order, equal keys in index order. */
-  private def ascending(keys: Array[Long]): Array[Int] = {
+  /** Whether `keys` is non-decreasing. */
+  private def sorted(keys: Array[Long]): Boolean = {
     var i = 1
     while (i < keys.length && keys(i - 1) <= keys(i)) i += 1
-    if (i >= keys.length) Array.range(0, keys.length) else keys.indices.sortBy(keys(_)).toArray
+    i >= keys.length
   }
+
+  /** Indexes of `keys` in ascending key order, equal keys in index order. */
+  private def ascending(keys: Array[Long]): Array[Int] =
+    if (sorted(keys)) Array.range(0, keys.length) else keys.indices.sortBy(keys(_)).toArray
 
   /** Greedy selection of `k` seeds by maximum *estimated* marginal gain
     * (Alg 4 line 6 / Alg 5 line 6), truncating walks after each pick.
     *
-    * The estimate of a cover state is the score's finish on the part totals
-    * of the observations' terms, scaled by `scale`. Each round scans every
-    * candidate `w` on an uncovered walk in ascending id order: it sums
-    * `1 − b0end` over those walks per observation, in ascending walk order,
-    * and from the moved estimates the change `Δw` in the part totals, each
+    * The estimate of a cover state is the score's finish on the part
+    * totals of the observations' terms, scaled by `scale`; the totals are
+    * kept with each observation's terms. Each round scans every candidate `w` on an uncovered walk in
+    * ascending id order: it sums `1 − b0end` over those walks per
+    * observation, in ascending walk order, and from the moved estimates the
+    * change `Δw` in the part totals that adding `w` causes, each
     * observation's new terms added and its old ones subtracted in ascending
-    * observation order. The gain of `w` is `finish(scale·(base + Δw)) −
-    * finish(scale·base)`, ties to the smaller id; if no candidate is left,
-    * the smallest unpicked id is picked. The pick's walks are marked covered
-    * and its `Δw` is added to the totals. Every round runs on the driver,
-    * over buffers allocated once.
+    * observation order. The gain of `w` is the exact change of the
+    * estimate, `finish(scale·(base + Δw)) − finish(scale·base)`, ties to
+    * the smaller id; if no candidate is left, the smallest unpicked id is
+    * picked. The picked node's walks are marked covered and its `Δw` is
+    * added to the totals. Every round runs on the driver, over buffers
+    * allocated once.
     */
   def select(inst: Instance, score: VoteScore, k: Int,
              annotatedWalks: DataFrame, scale: Double): Result = {
@@ -73,6 +83,7 @@ object WalkGreedy {
   private def select(inst: Instance, score: VoteScore, k: Int, walks: GraphOps.Packed, key: Array[Long],
                      b0end: Array[Double], covered: Array[Boolean], scale: Double): Result = {
     require(k >= 1 && k <= inst.n, s"k=$k out of range [1, ${inst.n}]")
+    require(sorted(walks.roots), "walks must be in ascending wid order")
     val (n, size, parts) = (inst.n.toInt, walks.size, score.parts(inst.r))
     // Node w's walks, ascending and each once: onPath(at(w) until at(w + 1)), counted first.
     val (at, seen) = (new Array[Int](n + 1), new Array[Int](n))
@@ -107,8 +118,8 @@ object WalkGreedy {
     }
     obsOff(obsCount) = size
     val comp = if (score.ranked) inst.competitors else null
-    def addTerms(totals: Array[Double], at: Int, o: Int, b: Double, sgn: Double): Unit =
-      score.addTerms(totals, at, node(o), b, if (comp == null) Array.emptyDoubleArray else comp(node(o)), sgn)
+    def addTerms(totals: Array[Double], at: Int, o: Int, b: Double): Unit =
+      score.addTerms(totals, at, node(o), b, if (comp == null) Array.emptyDoubleArray else comp(node(o)))
 
     // Observation o's estimate b(o) is the mean of its walk values, in walk order, with terms terms(o * parts …).
     val (b, terms, base) = (new Array[Double](obsCount), new Array[Double](obsCount * parts), new Array[Double](parts))
@@ -117,7 +128,7 @@ object WalkGreedy {
       while (j < obsOff(o + 1)) { s += (if (covered(byObs(j))) 1.0 else b0end(byObs(j))); j += 1 }
       b(o) = s / (obsOff(o + 1) - obsOff(o))
       java.util.Arrays.fill(terms, o * parts, (o + 1) * parts, 0.0)
-      addTerms(terms, o * parts, o, b(o), 1.0)
+      addTerms(terms, o * parts, o, b(o))
     }
     for (o <- 0 until obsCount) {
       estimate(o)
@@ -150,7 +161,7 @@ object WalkGreedy {
       var x = 0
       while (x < m) {
         val o = touched(x)
-        addTerms(dw, 0, o, b(o) + dsum(o) / (obsOff(o + 1) - obsOff(o)), 1.0)
+        addTerms(dw, 0, o, b(o) + dsum(o) / (obsOff(o + 1) - obsOff(o)))
         var p = 0
         while (p < parts) { dw(p) -= terms(o * parts + p); p += 1 }
         x += 1

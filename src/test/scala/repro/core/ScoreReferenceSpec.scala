@@ -35,25 +35,24 @@ class ScoreReferenceSpec extends SparkSpec {
     comp <- Gen.listOfN(r - 1, Gen.frequency(1 -> Gen.const(b), 2 -> genOpinion))
   } yield (node, b, comp.toArray)
 
-  test("addTerms of one voter is == its boxed terms, summed into a TreeMap or added at an offset with a sign") {
+  test("addTerms of one voter is == its boxed terms, summed into a TreeMap or added at an offset") {
     val gen = for {
       r <- Gen.choose(2, 5)
       voter <- genVoter(r)
       at <- Gen.choose(0, 2)
-      sgn <- Gen.oneOf(1.0, -1.0)
       pre <- Gen.listOfN(at + r + 2, Gen.oneOf(Gen.const(0.0), Gen.choose(-3.0, 3.0)))
-    } yield (r, voter, at, sgn, pre.toArray)
-    check(Prop.forAll(gen) { case (r, (node, b, comp), at, sgn, pre) =>
+    } yield (r, voter, at, pre.toArray)
+    check(Prop.forAll(gen) { case (r, (node, b, comp), at, pre) =>
       scores(r, nodes).forall { score =>
         val c = if (score.ranked) comp else Array.emptyDoubleArray
         val terms = BoxedScores.voterTerms(score, node, b, c)
         val summed = BoxedScores.partTotals(score, Array(node), Array(b), Array(comp))
         val zeros = new Array[Double](score.parts(r))
-        score.addTerms(zeros, 0, node, b, c, 1.0)
+        score.addTerms(zeros, 0, node, b, c)
         val added = pre.clone()
-        score.addTerms(added, at, node, b, c, sgn)
+        score.addTerms(added, at, node, b, c)
         val want = pre.clone()
-        terms.foreach { case (part, v) => want(at + part) += sgn * v }
+        terms.foreach { case (part, v) => want(at + part) += v }
         zeros.toSeq == zeros.indices.map(summed.getOrElse(_, 0.0)) && summed.keySet.forall(zeros.indices.contains) &&
           added.toSeq == want.toSeq
       }
@@ -97,23 +96,27 @@ class ScoreReferenceSpec extends SparkSpec {
   }
 
   test("wins and winsEach over kMax prefixes are == the boxed per-candidate scores") {
-    for ((name, inst) <- instances; score <- scores(inst.r, inst.n)) {
-      val prefixes = (1 to math.min(6, inst.n.toInt)).map(GreedyDM.select(inst, Cumulative, math.min(6, inst.n.toInt))
-        .seeds.take)
-      val want = prefixes.map { seeds =>
-        val ops = inst.opinions(seeds).collect().map(row => (row.getLong(0), row.getInt(1), row.getDouble(2)))
-          .sortBy(o => (o._1, o._2)).map(_._3)
-        val byCand = (0 until inst.r).map { c =>
-          val others = (0 until inst.r).filter(_ != c)
-          val b = Array.tabulate(inst.n.toInt)(v => ops(v * inst.r + c))
-          assert(score.ofTable(ops, inst.r, c) == BoxedScores.total(score, b.indices.map(_.toLong).toArray, b,
-            Array.tabulate(inst.n.toInt)(v => others.map(x => ops(v * inst.r + x)).toArray)), s"$name, ${score.name}")
-          score.ofTable(ops, inst.r, c)
+    for ((name, inst) <- instances) {
+      val kMax = math.min(6, inst.n.toInt)
+      val prefixes = (1 to kMax).map(GreedyDM.select(inst, Cumulative, kMax).seeds.take)
+      // Each prefix's node-major opinions of all candidates, entry v * r + c.
+      val tables = prefixes.map(seeds => inst.opinions(seeds).collect()
+        .map(row => (row.getLong(0), row.getInt(1), row.getDouble(2))).sortBy(o => (o._1, o._2)).map(_._3))
+      for (score <- scores(inst.r, inst.n)) {
+        val want = tables.map { ops =>
+          val byCand = (0 until inst.r).map { c =>
+            val others = (0 until inst.r).filter(_ != c)
+            val b = Array.tabulate(inst.n.toInt)(v => ops(v * inst.r + c))
+            val got = score.ofTable(ops, inst.r, c)
+            assert(got == BoxedScores.total(score, b.indices.map(_.toLong).toArray, b,
+              Array.tabulate(inst.n.toInt)(v => others.map(x => ops(v * inst.r + x)).toArray)), s"$name, ${score.name}")
+            got
+          }
+          (0 until inst.r).filter(_ != inst.q).forall(c => byCand(inst.q) > byCand(c))
         }
-        (0 until inst.r).filter(_ != inst.q).forall(c => byCand(inst.q) > byCand(c))
+        assert(prefixes.map(inst.wins(score, _)) == want, s"$name, ${score.name}")
+        assert(inst.winsEach(score, prefixes) == want, s"$name, ${score.name}")
       }
-      assert(prefixes.map(inst.wins(score, _)) == want, s"$name, ${score.name}")
-      assert(inst.winsEach(score, prefixes) == want, s"$name, ${score.name}")
     }
   }
 
